@@ -25,11 +25,17 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import BudgetExceededError, PreconditionError, SingularInputError
+from .errors import (
+    BudgetExceededError,
+    PreconditionError,
+    SingularInputError,
+    dense_entry_budget,
+    unknowns_budget,
+)
 from .fields import DEFAULT_PRIME, FieldSpec
 from .jacobian import JacobianContext, graded_table
 from .polyring import parse_poly
@@ -131,14 +137,6 @@ def _field(prime: int) -> FieldSpec:
         return FieldSpec.prime(prime)
     except ValueError as exc:
         raise UsageError(f"--prime: {exc}")
-
-
-def _env_budgets() -> tuple[int | None, int | None]:
-    def read(name):
-        raw = os.environ.get(name)
-        return int(raw) if raw is not None and raw.lstrip("-").isdigit() else None
-
-    return read("IVHS_BUDGET_ENTRIES"), read("IVHS_MAX_UNKNOWNS")
 
 
 def _load_context(ns) -> JacobianContext:
@@ -474,16 +472,13 @@ def _csv_text(rows: list) -> str:
 
 
 def _emit(outcome: Outcome) -> None:
-    budget_entries, max_unknowns = _env_budgets()
-    config = outcome.config
-    if budget_entries is not None or max_unknowns is not None:
-        config = RunConfig(
-            **{
-                **asdict(config),
-                "budget_entries": budget_entries,
-                "max_unknowns": max_unknowns,
-            }
-        )
+    # Echo the caps as the budget checks read them, so a value they reject
+    # fails here too.
+    config = replace(
+        outcome.config,
+        budget_entries=dense_entry_budget() if "IVHS_BUDGET_ENTRIES" in os.environ else None,
+        max_unknowns=unknowns_budget() if "IVHS_MAX_UNKNOWNS" in os.environ else None,
+    )
     if config.format == "csv":
         if outcome.rows is None:
             raise UsageError("--format csv is only available for row tables")

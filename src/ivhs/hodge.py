@@ -342,9 +342,20 @@ def project(candidate: IntegralElementCandidate, i: int) -> Subspace:
     n = candidate.shape.weight
     if not 0 <= i < n:
         raise PreconditionError(f"slot index {i} out of range for weight {n}")
-    rows = [e.slot(i).flatten() for e in candidate.basis]
+    return Subspace.from_rows(candidate.field, _slot_rows(candidate, i))
+
+
+def _slot_rows(candidate: IntegralElementCandidate, i: int) -> Matrix:
+    """One row per basis element: its slot-i block flattened row-major."""
     h_to, h_from = candidate.shape.slot_shape(i)
-    return Subspace.from_rows(candidate.field, rows, ambient_dimension=h_to * h_from)
+    if not candidate.basis:
+        return Matrix.zeros(candidate.field, 0, h_to * h_from)
+    return Matrix.vstack([e.slot(i).reshape(1, h_to * h_from) for e in candidate.basis])
+
+
+def _row_maps(rows: Matrix, shape: tuple[int, int]) -> list[Matrix]:
+    """Each row of ``rows`` regrouped row-major into a matrix of ``shape``."""
+    return [rows.row_select([a]).reshape(*shape) for a in range(rows.rows)]
 
 
 def build_transpose_element(
@@ -363,19 +374,16 @@ def build_transpose_element(
         raise PreconditionError("transpose lift needs a symmetric shape")
     h1, h0 = shape.slot_shape(0)
     if isinstance(e0_rows, Subspace):
-        mats = [e0_rows.basis.row(i) for i in range(e0_rows.dim)]
-    elif isinstance(e0_rows, Matrix):
-        mats = [e0_rows.row(i) for i in range(e0_rows.rows)]
+        e0_rows = e0_rows.basis
+    if isinstance(e0_rows, Matrix):
+        mats = _row_maps(e0_rows, (h1, h0))
     else:
-        mats = list(e0_rows)
+        mats = [
+            m if isinstance(m, Matrix) else Matrix.from_rows(field, [list(m)]).reshape(h1, h0)
+            for m in e0_rows
+        ]
     elements = []
-    for flat in mats:
-        if isinstance(flat, Matrix):
-            alpha = flat
-        else:
-            if len(flat) != h1 * h0:
-                raise PreconditionError("slot-0 vector has wrong length")
-            alpha = Matrix.from_rows(field, [flat[i * h0 : (i + 1) * h0] for i in range(h1)], cols=h0)
+    for alpha in mats:
         slots = [Matrix.zeros(field, *shape.slot_shape(j)) for j in range(n)]
         slots[0] = alpha
         slots[n - 1] = alpha.transpose()
@@ -425,11 +433,7 @@ class ChartData:
 def in_chart(candidate: IntegralElementCandidate, w: Subspace) -> bool:
     """Chart precondition: slot-0 projection has full dimension and meets
     the complement W only at zero."""
-    p0_rows = Matrix.from_rows(
-        candidate.field,
-        [e.slot(0).flatten() for e in candidate.basis],
-        cols=w.ambient_dimension,
-    )
+    p0_rows = _slot_rows(candidate, 0)
     if p0_rows.rank() != candidate.k:
         return False
     if w.dim == 0:
@@ -453,19 +457,7 @@ class ThetaCoordinates:
 
     def part_maps(self, m: int) -> list[Matrix]:
         """Slot-m images of the E0 basis elements as matrices (m >= 1)."""
-        h_to, h_from = self.chart.shape.slot_shape(m)
-        mat = self.parts[m - 1]
-        out = []
-        for a in range(mat.rows):
-            flat = mat.row(a)
-            out.append(
-                Matrix.from_rows(
-                    self.chart.field,
-                    [flat[i * h_from : (i + 1) * h_from] for i in range(h_to)],
-                    cols=h_from,
-                )
-            )
-        return out
+        return _row_maps(self.parts[m - 1], self.chart.shape.slot_shape(m))
 
     def is_zero(self) -> bool:
         return self.w_part.is_zero() and all(m.is_zero() for m in self.parts)
@@ -489,20 +481,9 @@ def theta(chart: ChartData, w_part: Matrix, parts: Sequence[Matrix]) -> Integral
         if pm.shape != (k, h_to * h_from):
             raise PreconditionError(f"slot-{m} part has the wrong shape")
     slot0_rows = chart.e0.basis + (w_part @ chart.w.basis if chart.w.dim else Matrix.zeros(field, k, chart.e0.ambient_dimension))
-    elements = []
-    h1, h0 = shape.slot_shape(0)
-    for a in range(k):
-        flat0 = slot0_rows.row(a)
-        free = [
-            Matrix.from_rows(field, [flat0[i * h0 : (i + 1) * h0] for i in range(h1)], cols=h0)
-        ]
-        for m, pm in enumerate(parts, start=1):
-            h_to, h_from = shape.slot_shape(m)
-            flat = pm.row(a)
-            free.append(
-                Matrix.from_rows(field, [flat[i * h_from : (i + 1) * h_from] for i in range(h_to)], cols=h_from)
-            )
-        elements.append(complete_horizontal(shape, field, free))
+    free_maps = [_row_maps(slot0_rows, shape.slot_shape(0))]
+    free_maps += [_row_maps(pm, shape.slot_shape(m)) for m, pm in enumerate(parts, start=1)]
+    elements = [complete_horizontal(shape, field, free) for free in zip(*free_maps)]
     return IntegralElementCandidate(shape, field, tuple(elements))
 
 
@@ -518,20 +499,10 @@ def theta_inverse(candidate: IntegralElementCandidate, chart: ChartData) -> Thet
         )
     if not in_chart(candidate, chart.w):
         raise PreconditionError("candidate is not in this chart")
-    p0_rows = Matrix.from_rows(
-        field, [e.slot(0).flatten() for e in candidate.basis], cols=chart.e0.ambient_dimension
-    )
-    coords = p0_rows @ chart._coordinate_solver()
+    coords = _slot_rows(candidate, 0) @ chart._coordinate_solver()
     c0 = coords.col_select(range(k))
     cw = coords.col_select(range(k, coords.cols))
     t = c0.inverse()
     w_part = t @ cw
-    parts = []
-    for m in range(1, shape.free_slot_count):
-        flat_rows = Matrix.from_rows(
-            field,
-            [e.slot(m).flatten() for e in candidate.basis],
-            cols=shape.slot_shape(m)[0] * shape.slot_shape(m)[1],
-        )
-        parts.append(t @ flat_rows)
+    parts = [t @ _slot_rows(candidate, m) for m in range(1, shape.free_slot_count)]
     return ThetaCoordinates(chart, w_part, tuple(parts))

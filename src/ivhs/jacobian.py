@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError, check_dense_budget
 from .fields import FieldSpec, Scalar, default_prime_field
-from .linalg import Matrix, _fp_rref
+from .linalg import Matrix
 from .polyring import (
     Exponents,
     HomogeneousPoly,
@@ -100,7 +100,7 @@ class JacobianContext:
         amb = basis(self.num_vars, m)
         src_deg = m - (self.d - 1)
         if src_deg < 0:
-            return _identity_piece(self.field, m, amb)
+            return _piece_from_pivots(self.field, m, amb, [], None)
         if method == "monomial":
             if not self.has_monomial_ideal:
                 raise PreconditionError("generators are not all monomials")
@@ -109,95 +109,49 @@ class JacobianContext:
 
     def _build_piece_monomial(self, m: int, amb: MonomialBasis, src_deg: int) -> "GradedQuotientPiece":
         src = basis(self.num_vars, src_deg)
-        ideal_cols: set[int] = set()
-        for g in self.generators:
-            for t, _ in g.terms():
-                offs = np.array(t, dtype=np.int64)
-                sums = src.array + offs
-                for row in sums:
-                    ideal_cols.add(amb.index(tuple(int(x) for x in row)))
-        std_cols = [j for j in range(amb.dim) if j not in ideal_cols]
-        std = tuple(amb.monomials[j] for j in std_cols)
-        nstd = len(std_cols)
-        if self.field.is_prime_field:
-            proj = np.zeros((nstd, amb.dim), dtype=np.int64)
-            proj[np.arange(nstd), std_cols] = 1
-            projector = Matrix.from_array(self.field, proj)
-        else:
-            one, zero = self.field.one(), self.field.zero()
-            rows = []
-            for r, j in enumerate(std_cols):
-                row = [zero] * amb.dim
-                row[j] = one
-                rows.append(row)
-            projector = Matrix.from_rows(self.field, rows, cols=amb.dim)
-        return GradedQuotientPiece(self.field, m, amb, len(ideal_cols), std, projector)
+        terms = [t for g in self.generators for t, _ in g.terms()]
+        # Distinct monomials span the ideal piece: their columns are the
+        # pivots, and the reduced rows are unit vectors.
+        pivots = sorted(set(amb.sum_index(src.monomials, terms).ravel().tolist()))
+        return _piece_from_pivots(self.field, m, amb, pivots, None)
 
     def _build_piece_dense(self, m: int, amb: MonomialBasis, src_deg: int) -> "GradedQuotientPiece":
         src = basis(self.num_vars, src_deg)
         nrows = src.dim * self.num_vars
         check_dense_budget(nrows, amb.dim, what=f"ideal piece in degree {m}")
-        if self.field.is_prime_field:
-            p = self.field.modulus
-            mat = np.zeros((nrows, amb.dim), dtype=np.int64)
-            for gi, g in enumerate(self.generators):
-                base = gi * src.dim
-                for t, c in g.terms():
-                    offs = np.array(t, dtype=np.int64)
-                    sums = src.array + offs
-                    cols = [amb.index(tuple(int(x) for x in row)) for row in sums]
-                    mat[base + np.arange(src.dim), cols] = (mat[base + np.arange(src.dim), cols] + int(c)) % p
-            rref, pivots = _fp_rref(mat, p)
-            piv_set = set(pivots)
-            std_cols = [j for j in range(amb.dim) if j not in piv_set]
-            std = tuple(amb.monomials[j] for j in std_cols)
-            nstd = len(std_cols)
-            proj = np.zeros((nstd, amb.dim), dtype=np.int64)
-            if nstd:
-                proj[np.arange(nstd), std_cols] = 1
-            if pivots and nstd:
-                block = rref[np.ix_(range(len(pivots)), std_cols)]
-                proj[:, list(pivots)] = (-block.T) % p
-            projector = Matrix.from_array(self.field, proj)
-            return GradedQuotientPiece(self.field, m, amb, len(pivots), std, projector)
-        # rational path: small fixtures only
-        rows: list[list[Scalar]] = []
-        zero = self.field.zero()
-        for g in self.generators:
-            gterms = list(g.terms())
-            for a in src.monomials:
-                row = [zero] * amb.dim
-                for t, c in gterms:
-                    e = tuple(x + y for x, y in zip(a, t))
-                    j = amb.index(e)
-                    row[j] = self.field.add(row[j], c)
-                rows.append(row)
-        mat = Matrix.from_rows(self.field, rows, cols=amb.dim)
-        rref_m, pivots = mat.rref()
-        piv_set = set(pivots)
-        std_cols = [j for j in range(amb.dim) if j not in piv_set]
-        std = tuple(amb.monomials[j] for j in std_cols)
-        one = self.field.one()
-        prows = []
-        for r, j in enumerate(std_cols):
-            row = [zero] * amb.dim
-            row[j] = one
-            prows.append(row)
-        for i, c in enumerate(pivots):
-            for r, j in enumerate(std_cols):
-                prows[r][c] = self.field.neg(rref_m.entry(i, j))
-        projector = (
-            Matrix.from_rows(self.field, prows, cols=amb.dim)
-            if prows
-            else Matrix.zeros(self.field, 0, amb.dim)
-        )
-        return GradedQuotientPiece(self.field, m, amb, len(pivots), std, projector)
+        entries = []
+        for gi, g in enumerate(self.generators):
+            terms = list(g.terms())
+            cols = amb.sum_index(src.monomials, [t for t, _ in terms])
+            for s, row in enumerate(cols.tolist()):
+                entries += [(gi * src.dim + s, j, c) for j, (_, c) in zip(row, terms)]
+        rref, pivots = Matrix.from_entries(self.field, nrows, amb.dim, entries).rref()
+        return _piece_from_pivots(self.field, m, amb, pivots, rref)
 
 
-def _identity_piece(fld: FieldSpec, m: int, amb: MonomialBasis) -> "GradedQuotientPiece":
-    return GradedQuotientPiece(
-        fld, m, amb, 0, amb.monomials, Matrix.identity(fld, amb.dim)
-    )
+def _piece_from_pivots(
+    fld: FieldSpec, m: int, amb: MonomialBasis, pivots: Sequence[int], rref: Matrix | None
+) -> "GradedQuotientPiece":
+    """The quotient piece of an ideal piece with the given pivot columns.
+
+    ``rref`` is the row-reduced ideal piece, or None when its pivot rows are
+    unit vectors.  Standard monomials are the non-pivot columns; the
+    projector row of standard column j is e_j minus the entries of column j
+    in the pivot rows, placed at the pivot columns.
+    """
+    piv_set = set(pivots)
+    std_cols = [j for j in range(amb.dim) if j not in piv_set]
+    std = tuple(amb.monomials[j] for j in std_cols)
+    if rref is None:
+        units = [(r, j, 1) for r, j in enumerate(std_cols)]
+        projector = Matrix.from_entries(fld, len(std_cols), amb.dim, units)
+    else:
+        reduced = rref.col_select(std_cols).row_select(range(len(pivots)))
+        # Columns come out in the order std_cols + pivots; put them back in
+        # ambient order.
+        stacked = Matrix.hstack([Matrix.identity(fld, len(std_cols)), -reduced.transpose()])
+        projector = stacked.col_select(np.argsort(std_cols + list(pivots)).tolist())
+    return GradedQuotientPiece(fld, m, amb, len(pivots), std, projector)
 
 
 @dataclass(frozen=True)
@@ -275,24 +229,13 @@ def multiplication_map(ctx: JacobianContext, g: HomogeneousPoly, a: int) -> Mult
         raise PreconditionError("multiplier lives in a different ring")
     src = ctx.piece(a)
     tgt = ctx.piece(a + g.degree)
-    fld = ctx.field
-    if fld.is_prime_field:
-        p = fld.modulus
-        proj = tgt.projector.array
-        out = np.zeros((tgt.dim, src.dim), dtype=np.int64)
-        for t, c in g.terms():
-            cols = [tgt.ambient.index(tuple(x + y for x, y in zip(u, t))) for u in src.standard_monomials]
-            if cols:
-                out = (out + int(c) * proj[:, cols]) % p
-        return MultiplicationMap(ctx, g, a, Matrix.from_array(fld, out))
-    cols_acc = [[fld.zero()] * src.dim for _ in range(tgt.dim)]
-    for t, c in g.terms():
-        for i, u in enumerate(src.standard_monomials):
-            e = tuple(x + y for x, y in zip(u, t))
-            j = tgt.ambient.index(e)
-            for r in range(tgt.dim):
-                cols_acc[r][i] = fld.add(cols_acc[r][i], fld.mul(c, tgt.projector.entry(r, j)))
-    return MultiplicationMap(ctx, g, a, Matrix.from_rows(fld, cols_acc, cols=src.dim))
+    terms = list(g.terms())
+    # Column u of the map is sum_t c_t * (projector column of u * x^t).
+    cols = tgt.ambient.sum_index(src.standard_monomials, [t for t, _ in terms])
+    out = Matrix.zeros(ctx.field, tgt.dim, src.dim)
+    for k, (_, c) in enumerate(terms):
+        out = out + tgt.projector.col_select(cols[:, k]).scale(c)
+    return MultiplicationMap(ctx, g, a, out)
 
 
 def action_matrix(ctx: JacobianContext, a: int, b: int) -> Matrix:
@@ -301,25 +244,13 @@ def action_matrix(ctx: JacobianContext, a: int, b: int) -> Matrix:
     src_a = ctx.piece(a)
     src_b = ctx.piece(b)
     tgt = ctx.piece(a + b)
-    fld = ctx.field
     check_dense_budget(tgt.dim * src_b.dim, max(src_a.dim, 1), what="stacked multiplication action")
-    if fld.is_prime_field:
-        out = np.zeros((tgt.dim * src_b.dim, src_a.dim), dtype=np.int64)
-        proj = tgt.projector.array
-        for i, mi in enumerate(src_a.standard_monomials):
-            cols = [tgt.ambient.index(tuple(x + y for x, y in zip(u, mi))) for u in src_b.standard_monomials]
-            if cols:
-                # vec of the (tgt.dim x src_b.dim) map, row-major
-                out[:, i] = proj[:, cols].T.ravel()
-        return Matrix.from_array(fld, out)
-    rows: list[list[Scalar]] = [[fld.zero()] * src_a.dim for _ in range(tgt.dim * src_b.dim)]
-    for i, mi in enumerate(src_a.standard_monomials):
-        for u_idx, u in enumerate(src_b.standard_monomials):
-            e = tuple(x + y for x, y in zip(u, mi))
-            j = tgt.ambient.index(e)
-            for r in range(tgt.dim):
-                rows[u_idx * tgt.dim + r][i] = tgt.projector.entry(r, j)
-    return Matrix.from_rows(fld, rows, cols=src_a.dim)
+    # Row i * dim R^b + u of the gather is the projector column of m_i * u.
+    cols = tgt.ambient.sum_index(src_a.standard_monomials, src_b.standard_monomials)
+    gathered = tgt.projector.transpose().row_select(cols.ravel())
+    # Column i is the column-major vec of the (dim R^{a+b} x dim R^b) map:
+    # row index u * dim R^{a+b} + r.
+    return gathered.reshape(src_a.dim, src_b.dim * tgt.dim).transpose()
 
 
 def macaulay_injectivity_check(ctx: JacobianContext, a: int, b: int) -> bool:

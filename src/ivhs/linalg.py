@@ -278,6 +278,25 @@ class Matrix:
         return Matrix(field, None, data, (nrows, ncols))
 
     @staticmethod
+    def from_entries(
+        field: FieldSpec, rows: int, cols: int, entries: Iterable[tuple[int, int, Scalar]]
+    ) -> "Matrix":
+        """rows x cols matrix from (row, col, value) triplets; values at a
+        repeated position add up, positions never named stay zero."""
+        entries = list(entries)
+        if field.is_prime_field:
+            arr = np.zeros((rows, cols), dtype=np.int64)
+            if entries:
+                i, j, x = zip(*entries)
+                vals = [field.coerce(v) for v in x]
+                np.add.at(arr, (np.array(i, dtype=np.intp), np.array(j, dtype=np.intp)), vals)
+            return Matrix(field, arr % field.modulus, None, (rows, cols))
+        data = [[Fraction(0)] * cols for _ in range(rows)]
+        for i, j, x in entries:
+            data[i][j] += field.coerce(x)
+        return Matrix(field, None, tuple(map(tuple, data)), (rows, cols))
+
+    @staticmethod
     def from_array(field: FieldSpec, arr: np.ndarray) -> "Matrix":
         if not field.is_prime_field:
             raise PreconditionError("from_array requires a prime field")
@@ -345,15 +364,28 @@ class Matrix:
 
     def row_select(self, indices: Sequence[int]) -> "Matrix":
         if self._fp is not None:
-            return Matrix(self.field, self._fp[list(indices)].copy(), None, (len(indices), self.cols))
+            # Fancy indexing already returns a fresh array.
+            picked = self._fp[np.asarray(indices, dtype=np.intp)]
+            return Matrix(self.field, picked, None, picked.shape)
         data = tuple(self._q[i] for i in indices)
         return Matrix(self.field, None, data, (len(indices), self.cols))
 
     def col_select(self, indices: Sequence[int]) -> "Matrix":
         if self._fp is not None:
-            return Matrix(self.field, self._fp[:, list(indices)].copy(), None, (self.rows, len(indices)))
+            picked = self._fp[:, np.asarray(indices, dtype=np.intp)]
+            return Matrix(self.field, picked, None, picked.shape)
         data = tuple(tuple(row[j] for j in indices) for row in self._q)
         return Matrix(self.field, None, data, (self.rows, len(indices)))
+
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """The same entries, read in row-major order, regrouped into rows x cols."""
+        if rows < 0 or cols < 0 or rows * cols != self.rows * self.cols:
+            raise PreconditionError(f"cannot reshape {self.rows}x{self.cols} into {rows}x{cols}")
+        if self._fp is not None:
+            return Matrix(self.field, self._fp.reshape(rows, cols), None, (rows, cols))
+        flat = self.flatten()
+        data = tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows))
+        return Matrix(self.field, None, data, (rows, cols))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -613,11 +645,8 @@ def standard_complement(space: Subspace) -> Subspace:
                 pivots.add(j)
                 break
     free = [j for j in range(space.ambient_dimension) if j not in pivots]
-    rows = []
-    for j in free:
-        v = [space.field.zero()] * space.ambient_dimension
-        v[j] = space.field.one()
-        rows.append(v)
-    if not rows:
-        return Subspace(space.field, space.ambient_dimension, Matrix.zeros(space.field, 0, space.ambient_dimension))
-    return Subspace.from_rows(space.field, rows, space.ambient_dimension)
+    # Unit rows in increasing column order are already in RREF.
+    units = Matrix.from_entries(
+        space.field, len(free), space.ambient_dimension, [(r, j, 1) for r, j in enumerate(free)]
+    )
+    return Subspace(space.field, space.ambient_dimension, units)

@@ -36,7 +36,7 @@ def _monomials_desc_lex(num_vars: int, degree: int) -> list[Exponents]:
 class MonomialBasis:
     """All exponent tuples of a fixed total degree, in descending lex order."""
 
-    __slots__ = ("num_vars", "degree", "monomials", "_index", "_array")
+    __slots__ = ("num_vars", "degree", "monomials", "_index")
 
     def __init__(self, num_vars: int, degree: int):
         if num_vars < 1:
@@ -47,7 +47,6 @@ class MonomialBasis:
         self.degree = degree
         self.monomials: tuple[Exponents, ...] = tuple(_monomials_desc_lex(num_vars, degree))
         self._index = {m: i for i, m in enumerate(self.monomials)}
-        self._array: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.monomials)
@@ -59,17 +58,16 @@ class MonomialBasis:
     def index(self, exponents: Sequence[int]) -> int:
         return self._index[tuple(exponents)]
 
+    def sum_index(self, left: Sequence[Exponents], right: Sequence[Exponents]) -> np.ndarray:
+        """Index of u + v in this basis for u in ``left`` and v in ``right``,
+        as an int64 array of shape (len(left), len(right))."""
+        idx = self._index
+        table = (idx[tuple(a + b for a, b in zip(u, v))] for u in left for v in right)
+        size = len(left) * len(right)
+        return np.fromiter(table, dtype=np.int64, count=size).reshape(len(left), len(right))
+
     def __contains__(self, exponents) -> bool:
         return tuple(exponents) in self._index
-
-    @property
-    def array(self) -> np.ndarray:
-        """Exponent rows as a read-only (dim, num_vars) int64 array."""
-        if self._array is None:
-            arr = np.array(self.monomials, dtype=np.int64).reshape(self.dim, self.num_vars)
-            arr.flags.writeable = False
-            self._array = arr
-        return self._array
 
 
 @lru_cache(maxsize=None)

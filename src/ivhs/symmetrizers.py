@@ -74,7 +74,7 @@ class SubspaceE:
             if m.field != s.field:
                 raise PreconditionError("basis field mismatch")
         if self.basis:
-            flat = Matrix.from_rows(s.field, [m.flatten() for m in self.basis], cols=s.g0 * s.g1)
+            flat = Matrix.vstack([m.reshape(1, s.g0 * s.g1) for m in self.basis])
             if flat.rank() != len(self.basis):
                 raise PreconditionError("basis maps are linearly dependent")
 
@@ -85,20 +85,11 @@ class SubspaceE:
 
 def _kron_identity_transpose(copies: int, alpha: Matrix) -> Matrix:
     """Block-diagonal matrix of ``copies`` copies of t(alpha)."""
-    field = alpha.field
     at = alpha.transpose()
-    if field.is_prime_field:
-        out = np.kron(np.eye(copies, dtype=np.int64), at.array)
-        return Matrix.from_array(field, out)
-    rows_out = []
-    zero_row = [field.zero()] * (at.cols * copies)
-    for c in range(copies):
-        for i in range(at.rows):
-            row = list(zero_row)
-            for j in range(at.cols):
-                row[c * at.cols + j] = at.entry(i, j)
-            rows_out.append(row)
-    return Matrix.from_rows(field, rows_out, cols=at.cols * copies)
+    zero = Matrix.zeros(alpha.field, at.rows, at.cols)
+    return Matrix.vstack(
+        [Matrix.hstack([at if c == r else zero for c in range(copies)]) for r in range(copies)]
+    )
 
 
 def symmetrizer_system(e: SubspaceE) -> Matrix:
@@ -138,17 +129,7 @@ class SymmetrizerSpace:
         """The values q(alpha_a) of basis element ``idx`` as g2 x g1 matrices."""
         s = self.subspace.setting
         coord = self.basis[idx]
-        out = []
-        for a in range(coord.rows):
-            flat = coord.row(a)
-            out.append(
-                Matrix.from_rows(
-                    s.field,
-                    [flat[i * s.g1 : (i + 1) * s.g1] for i in range(s.g2)],
-                    cols=s.g1,
-                )
-            )
-        return out
+        return [coord.row_select([a]).reshape(s.g2, s.g1) for a in range(coord.rows)]
 
 
 def symmetrizer_space(e: SubspaceE, max_unknowns: int | None = None) -> SymmetrizerSpace:
@@ -164,13 +145,8 @@ def symmetrizer_space(e: SubspaceE, max_unknowns: int | None = None) -> Symmetri
     system = symmetrizer_system(e)
     kernel = system.kernel_basis()  # n_unknowns x dim
     dim = kernel.cols
-    basis = []
-    chunk = s.g2 * s.g1
-    for j in range(dim):
-        col = kernel.col_select([j]).flatten()
-        coord = Matrix.from_rows(s.field, [col[a * chunk : (a + 1) * chunk] for a in range(e.k)], cols=chunk)
-        basis.append(coord)
-    space = SymmetrizerSpace(e, dim, tuple(basis))
+    basis = tuple(kernel.col_select([j]).reshape(e.k, s.g2 * s.g1) for j in range(dim))
+    space = SymmetrizerSpace(e, dim, basis)
     for j in range(dim):
         result = verify_candidate_symmetrizer(list(e.basis), space.element_maps(j))
         if not result.holds:
@@ -397,11 +373,7 @@ def hodge_symmetrizer_setting(shape: HodgeShape, e0) -> tuple[CompositionSetting
     g0, g1, g2 = shape.hodge_numbers[0], shape.hodge_numbers[1], shape.hodge_numbers[2]
     if isinstance(e0, Subspace):
         field = e0.field
-        rows = [e0.basis.row(i) for i in range(e0.dim)]
-        mats = [
-            Matrix.from_rows(field, [row[i * g0 : (i + 1) * g0] for i in range(g1)], cols=g0)
-            for row in rows
-        ]
+        mats = [e0.basis.row_select([i]).reshape(g1, g0) for i in range(e0.dim)]
     else:
         mats = list(e0)
         if not mats:
@@ -434,13 +406,6 @@ def fiber_forward_check(candidate: IntegralElementCandidate, chart: ChartData | 
         chart = ChartData(shape, candidate.field, e0, standard_complement(e0))
     coords = theta_inverse(candidate, chart)
     g1, g0 = shape.slot_shape(0)
-    e_maps = [
-        Matrix.from_rows(
-            candidate.field,
-            [row[i * g0 : (i + 1) * g0] for i in range(g1)],
-            cols=g0,
-        )
-        for row in (chart.e0.basis.row(a) for a in range(chart.k))
-    ]
+    e_maps = [chart.e0.basis.row_select([a]).reshape(g1, g0) for a in range(chart.k)]
     q_maps = coords.part_maps(1)
     return verify_candidate_symmetrizer(e_maps, q_maps)

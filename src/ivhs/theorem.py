@@ -218,33 +218,18 @@ def monotonicity_check(n: int, d_min: int, d_max: int) -> tuple[list[Monotonicit
 # ---------------------------------------------------------------------------
 
 
-def _socle_functional(ctx: JacobianContext):
-    """Coefficient of a monomial on the 1-dimensional socle piece."""
-    sp = ctx.piece(ctx.socle_degree)
-    if sp.dim != 1:
-        raise SingularInputError("socle is not one-dimensional; fixture is singular")
-    projector = sp.projector
-    ambient = sp.ambient
-
-    def coefficient(exponents) -> int:
-        return projector.entry(0, ambient.index(tuple(exponents)))
-
-    return coefficient
-
-
 def _pairing_matrix(ctx: JacobianContext, a: int, b: int) -> Matrix:
     """Socle pairing between the standard bases of R^a and R^b, a + b = socle
     degree.  Entry (i, j) is the socle coefficient of u_i v_j."""
     if a + b != ctx.socle_degree:
         raise PreconditionError("pairing degrees must sum to the socle degree")
-    coeff = _socle_functional(ctx)
+    sp = ctx.piece(ctx.socle_degree)
+    if sp.dim != 1:
+        raise SingularInputError("socle is not one-dimensional; fixture is singular")
     rows_basis = ctx.piece(a).standard_monomials
     cols_basis = ctx.piece(b).standard_monomials
-    rows = [
-        [coeff(tuple(x + y for x, y in zip(u, v))) for v in cols_basis]
-        for u in rows_basis
-    ]
-    return Matrix.from_rows(ctx.field, rows, cols=len(cols_basis))
+    cols = sp.ambient.sum_index(rows_basis, cols_basis)
+    return sp.projector.col_select(cols.ravel()).reshape(len(rows_basis), len(cols_basis))
 
 
 def ring_frame_candidate(

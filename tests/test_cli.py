@@ -318,3 +318,13 @@ def test_env_budget_echoed_in_config(capsys, monkeypatch):
     code, out, _ = run(capsys, ["profile", "--n", "3", "--d", "6"])
     assert code == 0
     assert payload(out)["config"]["budget_entries"] == 200000000
+    # The echo is the cap the budget checks enforce.
+    monkeypatch.setenv("IVHS_BUDGET_ENTRIES", " 5000")
+    code, out, _ = run(capsys, ["profile", "--n", "3", "--d", "6"])
+    assert code == 0
+    assert payload(out)["config"]["budget_entries"] == 5000
+    monkeypatch.setenv("IVHS_BUDGET_ENTRIES", "-5")
+    code, out, err = run(capsys, ["profile", "--n", "3", "--d", "6"])
+    assert code == 3
+    assert out == ""
+    assert "IVHS_BUDGET_ENTRIES must be positive" in err

@@ -149,6 +149,18 @@ def test_action_matrix_shape(sextic):
     assert m.shape == (5 * 255, 185)
 
 
+def test_action_matrix_column_is_transposed_multiplication_map(sextic):
+    # Column i stacks the map R^b -> R^{a+b} of the i-th standard monomial
+    # column by column: row index u * dim R^{a+b} + r.
+    a, b = 6, 1
+    act = action_matrix(sextic, a, b)
+    std = sextic.piece(a).standard_monomials
+    for i in (0, 1, 57, len(std) - 1):
+        mono = HomogeneousPoly.monomial(FP, std[i])
+        mm = multiplication_map(sextic, mono, b).matrix
+        assert act.col_select([i]).flatten() == mm.transpose().flatten()
+
+
 def test_macaulay_injectivity_low_level(sextic):
     assert macaulay_injectivity_check(sextic, 6, 1)
 
@@ -204,6 +216,13 @@ def test_rational_and_modular_dimensions_agree_on_cubic_surface():
         for m in range(ctx_q.socle_degree + 2):
             assert quotient_piece(ctx_q, m).dim == quotient_piece(ctx_p, m).dim
         assert socle_check(ctx_q) == socle_check(ctx_p)
+        for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            assert action_matrix(ctx_q, a, b).rank() == action_matrix(ctx_p, a, b).rank()
+        for text, a in (("x0*x1", 1), ("x0^2+2*x1*x3", 1), ("x2", 2)):
+            mm_q = multiplication_map(ctx_q, parse_poly(text, QQ, num_vars=4), a).matrix
+            mm_p = multiplication_map(ctx_p, parse_poly(text, FP, num_vars=4), a).matrix
+            assert mm_q.shape == mm_p.shape
+            assert mm_q.rank() == mm_p.rank()
 
 
 def test_dense_path_over_rationals_projector_exact():

@@ -298,3 +298,25 @@ def test_stacking():
     b = Matrix.from_rows(QQ, [[3, 4]])
     assert Matrix.vstack([a, b]).to_rows() == [[1, 2], [3, 4]]
     assert Matrix.hstack([a, b]).to_rows() == [[1, 2, 3, 4]]
+
+
+@pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "qq"])
+def test_reshape_round_trips_and_agrees_with_flatten(field):
+    m = Matrix.from_rows(field, [[1, 2, 3], [4, 5, 6]])
+    for shape in ((3, 2), (1, 6), (6, 1), (2, 3)):
+        r = m.reshape(*shape)
+        assert r.shape == shape
+        assert r.flatten() == m.flatten()
+        assert r.reshape(2, 3) == m
+    assert m.reshape(3, 2).to_rows() == [[1, 2], [3, 4], [5, 6]]
+    assert Matrix.zeros(field, 0, 4).reshape(2, 0).shape == (2, 0)
+    with pytest.raises(PreconditionError):
+        m.reshape(4, 2)
+
+
+@pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "qq"])
+def test_from_entries_sums_repeated_positions(field):
+    m = Matrix.from_entries(field, 2, 3, [(0, 1, 2), (1, 2, Fraction(1, 2)), (0, 1, 5), (1, 0, -1)])
+    want = Matrix.from_rows(field, [[0, 7, 0], [-1, 0, Fraction(1, 2)]])
+    assert m == want
+    assert Matrix.from_entries(field, 2, 2, []) == Matrix.zeros(field, 2, 2)
