@@ -1,18 +1,19 @@
 """Exact dense linear algebra over Q and F_p.
 
-Everything here is exact: prime-field matrices live in numpy int64 arrays
-with entries in [0, p) and are eliminated with a panel-blocked Gauss-Jordan
-whose inner products provably fit the arithmetic type (float64 BLAS when
-panel * (p-1)^2 < 2^53, int64 otherwise); rational matrices use Fraction
-entries, with rank computed by fraction-free Bareiss elimination on
-integer-cleared rows.  No floating-point rounding can occur on any path.
+Everything here is exact.  Rational matrices hold Fraction entries.
+Prime-field matrices are numpy int64 arrays with entries in [0, p); one
+panel-blocked Gauss-Jordan core eliminates them in float64 (BLAS) or
+int64, with a panel width chosen so that panel * (p-1)^2 < 2^53 or < 2^62.
+Between two reductions mod p an entry takes at most ``panel`` updates
+x -= f * y with f and y in [0, p), so |x| < p + panel * (p-1)^2 and every
+entry stays an exact integer: the kernels reduce once per panel, not once
+per pivot, and no floating-point rounding can occur on any path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,6 +38,41 @@ def _elim_dtype_and_panel(p: int) -> tuple[np.dtype, int]:
 # ---------------------------------------------------------------------------
 
 
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """Reduce the integer-valued array ``x`` into [0, p) in place.
+
+    ``np.remainder`` is exact but slow on float64, so large float arrays
+    subtract floor(x / p) * p.  With |x| + p < 2^53 that is exact too: x / p
+    is at least 1/p away from any integer it is not, more than its rounding
+    error, so the floor is the true one.
+    """
+    if x.dtype.kind == "i" or x.size < 256:
+        return np.remainder(x, p, out=x)
+    q = x / p
+    x -= np.multiply(np.floor(q, out=q), p, out=q)
+    return x
+
+
+def _update(x: np.ndarray, f: np.ndarray, y: np.ndarray, p: int | None = None) -> None:
+    """x -= f @ y in place, then reduce the changed entries mod ``p`` if given.
+
+    Only rows where f and columns where y hold a nonzero can change; when
+    they cover less than half of ``x``, only those are gathered.
+    """
+    rows = f.any(axis=1).nonzero()[0]
+    if rows.size == 0:
+        return
+    cols = y.any(axis=0).nonzero()[0]
+    if 2 * rows.size * cols.size > x.size:
+        x -= f @ y
+        if p is not None:
+            _reduce(x, p)
+    elif cols.size:
+        ix = rows[:, None], cols
+        t = x[ix] - f[rows] @ y[:, cols]
+        x[ix] = t if p is None else _reduce(t, p)
+
+
 def _fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) mod p for int64 arrays already reduced into [0, p)."""
     inner = a.shape[1]
@@ -51,61 +87,63 @@ def _fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     chunk = max(1, _INT_SAFE // (p - 1) ** 2)
     acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for lo in range(0, inner, chunk):
-        hi = min(lo + chunk, inner)
-        acc = (acc + a[:, lo:hi] @ b[lo:hi, :]) % p
+        acc = (acc + a[:, lo : lo + chunk] @ b[lo : lo + chunk, :]) % p
     return acc
 
 
 def _fp_forward_echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """In-place panel-blocked forward elimination; returns (a, pivot columns).
 
-    After the call, rows 0..r-1 of ``a`` are in echelon form with pivots at
-    the returned columns and zeros below every pivot.  Works on the
-    elimination dtype chosen for ``p``; entries stay reduced mod p.
+    Afterwards rows 0..r-1 of ``a`` are in echelon form with pivots at the
+    returned columns, the rows below are zero, and entries lie in [0, p).
+    A panel's rank-1 updates go unreduced until the panel ends.
     """
     m, n = a.shape
     _, panel = _elim_dtype_and_panel(p)
     pivots: list[int] = []
     r = 0
-    c0 = 0
-    while r < m and c0 < n:
+    for c0 in range(0, n, panel):
+        if r == m:
+            break
         c1 = min(c0 + panel, n)
-        width = c1 - c0
-        F = np.zeros((m - r, width), dtype=a.dtype)
+        # A column that is zero in rows r.. stays zero there: skip it.
+        cols = c0 + a[r:, c0:c1].any(axis=0).nonzero()[0]
+        if cols.size == 0:
+            continue
+        blk = a[r:, cols]
+        F = np.zeros((m - r, cols.size), dtype=a.dtype)  # multipliers, by pivot
         k = 0
-        for c in range(c0, c1):
-            rr = r + k
-            if rr >= m:
+        for j, c in enumerate(cols):
+            if k == m - r:
                 break
-            colvals = a[rr:, c]
-            nz = np.nonzero(colvals)[0]
+            col = blk[k:, j] % p
+            nz = col.nonzero()[0]
             if nz.size == 0:
                 continue
-            pr = rr + int(nz[0])
-            if pr != rr:
-                a[[rr, pr], :] = a[[pr, rr], :]
-                F[[rr - r, pr - r], :] = F[[pr - r, rr - r], :]
-            inv = pow(int(a[rr, c]), p - 2, p)
-            if rr + 1 < m:
-                f = (a[rr + 1 :, c] * inv) % p
-                a[rr + 1 :, c0:c1] = (a[rr + 1 :, c0:c1] - np.outer(f, a[rr, c0:c1])) % p
-                F[rr + 1 - r :, k] = f
-            pivots.append(c)
+            i = int(nz[0])
+            if i:
+                for x in (blk, F, a[r:, c1:]):
+                    x[[k, k + i]] = x[[k + i, k]]
+                col[[0, i]] = col[[i, 0]]
+            row = _reduce(blk[k, j + 1 :], p)
+            f = (col[1:] * pow(int(col[0]), p - 2, p)) % p
+            _update(blk[k + 1 :, j + 1 :], f[:, None], row[None, :])
+            blk[k:, j] = 0
+            blk[k, j] = col[0]
+            F[k + 1 :, k] = f
+            pivots.append(int(c))
             k += 1
-        if k > 0 and c1 < n:
-            # Pivot rows missed the updates from earlier pivots of this panel
-            # on the trailing columns; forward-substitute, then update the
-            # rows below with one product.
-            for j in range(1, k):
-                fj = F[j, :j]
-                if np.any(fj):
-                    a[r + j, c1:] = (a[r + j, c1:] - fj @ a[r : r + j, c1:]) % p
-            if r + k < m:
-                Fb = F[k:, :k]
-                if np.any(Fb):
-                    a[r + k :, c1:] = (a[r + k :, c1:] - Fb @ a[r : r + k, c1:]) % p
+        if k == 0:
+            continue
+        a[r:, cols] = _reduce(blk, p)
+        # Pivot rows missed the updates from earlier pivots of this panel on
+        # the trailing columns; forward-substitute, then update the rows
+        # below with one product.
+        top = a[r : r + k, c1:]
+        for j in range(1, k):
+            _update(top[j : j + 1], F[j : j + 1, :j], top[:j], p)
+        _update(a[r + k :, c1:], F[k:, :k], top, p)
         r += k
-        c0 = c1
     return a, pivots
 
 
@@ -116,27 +154,36 @@ def _fp_rank(arr: np.ndarray, p: int) -> int:
     # Eliminating the transpose is cheaper when the matrix is much taller
     # than wide; rank is unchanged.
     work = arr.T if arr.shape[0] > 4 * arr.shape[1] else arr
-    a = np.array(work, dtype=dtype)
+    a = np.array(work, dtype=dtype, order="C")
     _, pivots = _fp_forward_echelon(a, p)
     return len(pivots)
 
 
 def _fp_rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p: unit pivots, zeros above and below."""
-    dtype, _ = _elim_dtype_and_panel(p)
-    a = np.array(arr, dtype=dtype)
+    """Reduced row echelon form mod p: unit pivots, zeros above and below.
+
+    Back-substitution runs bottom-up in blocks of at most ``panel`` pivot
+    rows: a sweep inside the block, whose rows take fewer than ``panel``
+    unreduced updates, then one product clears the block's pivot columns
+    from every row above it.
+    """
+    dtype, panel = _elim_dtype_and_panel(p)
+    a = np.array(arr, dtype=dtype, order="C")
     if a.size == 0:
         return a.astype(np.int64), []
     a, pivots = _fp_forward_echelon(a, p)
-    for idx in range(len(pivots) - 1, -1, -1):
-        c = pivots[idx]
-        inv = pow(int(a[idx, c]), p - 2, p)
-        if inv != 1:
-            a[idx, c:] = (a[idx, c:] * inv) % p
-        if idx > 0:
-            f = a[:idx, c].copy()
-            if np.any(f):
-                a[:idx, c:] = (a[:idx, c:] - np.outer(f, a[idx, c:])) % p
+    for hi in range(len(pivots), 0, -panel):
+        lo = max(0, hi - panel)
+        c = pivots[lo]
+        blk = a[lo:hi, c:]
+        for i in range(hi - lo - 1, -1, -1):
+            ci = pivots[lo + i] - c
+            row = _reduce(blk[i, ci:], p)
+            if row[0] != 1:
+                row *= pow(int(row[0]), p - 2, p)
+                _reduce(row, p)
+            _update(blk[:i, ci:], blk[:i, ci : ci + 1] % p, row[None, :])
+        _update(a[:lo, c:], a[:lo, pivots[lo:hi]], blk, p)
     return a.astype(np.int64), pivots
 
 
@@ -144,58 +191,17 @@ def _fp_kernel(arr: np.ndarray, p: int) -> np.ndarray:
     """Columns spanning {x : arr @ x = 0 mod p}; shape (n, n - rank)."""
     n = arr.shape[1]
     r, pivots = _fp_rref(arr, p)
-    free = [c for c in range(n) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
     k = np.zeros((n, len(free)), dtype=np.int64)
-    for j, c in enumerate(free):
-        k[c, j] = 1
-        for i, pc in enumerate(pivots):
-            k[pc, j] = (-int(r[i, c])) % p
+    k[pivots] = -r[: len(pivots), free] % p
+    k[free, range(len(free))] = 1
     return k
 
 
 # ---------------------------------------------------------------------------
 # rational kernels (Fraction / bigint)
 # ---------------------------------------------------------------------------
-
-
-def _q_rank_bareiss(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q by one-step Bareiss (fraction-free) elimination.
-
-    Rows are scaled to integers first; all divisions are exact integer
-    divisions by the previous pivot, so intermediate growth stays polynomial.
-    """
-    m = [
-        [int(x * scale) for x in row]
-        for row in rows
-        for scale in [lcm(*(x.denominator for x in row)) if row else 1]
-    ]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(rank, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        for i in range(rank + 1, nrows):
-            ri = m[i]
-            if ri[c] == 0:
-                # Still rescale so the division invariant holds uniformly.
-                for j in range(c + 1, ncols):
-                    ri[j] = ri[j] * pr[c] // prev
-            else:
-                fac = ri[c]
-                for j in range(c + 1, ncols):
-                    ri[j] = (ri[j] * pr[c] - fac * pr[j]) // prev
-                ri[c] = 0
-        prev = pr[c]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 def _q_rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -225,7 +231,8 @@ def _q_rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], l
 
 def _q_kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
     r, pivots = _q_rref(rows)
-    free = [c for c in range(ncols) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for c in free:
         v = [Fraction(0)] * ncols
@@ -471,7 +478,7 @@ class Matrix:
     def rank(self) -> int:
         if self._fp is not None:
             return _fp_rank(self._fp, self.field.modulus)
-        return _q_rank_bareiss(self._q)
+        return len(_q_rref(self._q)[1])
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
@@ -536,16 +543,6 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-
-def rank(m: Matrix) -> int:
-    """Exact rank of ``m`` over its field."""
-    return m.rank()
-
-
-def kernel_basis(m: Matrix) -> Matrix:
-    """Basis of the right kernel of ``m``, one basis vector per column."""
-    return m.kernel_basis()
 
 
 def random_matrix(field: FieldSpec, rows: int, cols: int, seed) -> Matrix:

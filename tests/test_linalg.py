@@ -15,9 +15,7 @@ from ivhs.linalg import (
     Matrix,
     Subspace,
     coordinates_in_rowspace,
-    kernel_basis,
     random_matrix,
-    rank,
     standard_complement,
 )
 
@@ -28,25 +26,25 @@ P = FP.modulus
 
 
 def test_identity_rank():
-    assert rank(Matrix.identity(FP, 7)) == 7
-    assert rank(Matrix.identity(QQ, 7)) == 7
+    assert Matrix.identity(FP, 7).rank() == 7
+    assert Matrix.identity(QQ, 7).rank() == 7
 
 
 def test_zero_matrix_rank_and_kernel():
     z = Matrix.zeros(FP, 3, 5)
-    assert rank(z) == 0
-    k = kernel_basis(z)
+    assert z.rank() == 0
+    k = z.kernel_basis()
     assert k.shape == (5, 5)
     z = Matrix.zeros(QQ, 3, 5)
-    assert rank(z) == 0
-    assert kernel_basis(z).shape == (5, 5)
+    assert z.rank() == 0
+    assert z.kernel_basis().shape == (5, 5)
 
 
 def test_proportional_rows_rank_one():
     m = Matrix.from_rows(QQ, [[2, 4], [1, 2]])
-    assert rank(m) == 1
+    assert m.rank() == 1
     m = Matrix.from_rows(FP, [[2, 4], [1, 2]])
-    assert rank(m) == 1
+    assert m.rank() == 1
 
 
 def test_rref_of_proportional_rows():
@@ -58,7 +56,7 @@ def test_rref_of_proportional_rows():
 
 def test_kernel_of_ones_row():
     m = Matrix.from_rows(QQ, [[1, 1]])
-    k = kernel_basis(m)
+    k = m.kernel_basis()
     assert k.shape == (2, 1)
     # spans (1, -1)
     assert k.entry(0, 0) * Fraction(-1) == k.entry(1, 0)
@@ -68,14 +66,14 @@ def test_kernel_of_ones_row():
 def test_kernel_columns_annihilated():
     for field in (FP, QQ):
         m = Matrix.from_rows(field, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-        k = kernel_basis(m)
+        k = m.kernel_basis()
         assert (m @ k).is_zero()
-        assert k.cols == 3 - rank(m)
+        assert k.cols == 3 - m.rank()
 
 
 def test_rank_nullity_fixed_cases():
     m = Matrix.from_rows(FP, [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]])
-    assert rank(m) + kernel_basis(m).cols == 4
+    assert m.rank() + m.kernel_basis().cols == 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,21 +115,30 @@ def test_rank_matches_oracles_on_fixed_fixtures():
         assert Matrix.from_rows(QQ, rows).rank() == naive_rank_fraction(rows)
 
 
-def test_blocked_elimination_agrees_with_oracle_on_random_matrices():
+# One prime per elimination dtype and panel width: float64 with panel 128,
+# the largest float64 prime (tightest exactness bound), then int64 with
+# panels 128, 4 and 1.
+@pytest.mark.parametrize("p", [10007, 8388593, 33554393, 1073741789, 2147483629])
+def test_blocked_elimination_agrees_with_oracle_on_random_matrices(p):
+    field = FieldSpec.prime(p)
     rng = np.random.default_rng(20240817)
     for trial in range(25):
         m = int(rng.integers(1, 40))
         n = int(rng.integers(1, 40))
-        arr = rng.integers(0, P, size=(m, n))
+        arr = rng.integers(0, p, size=(m, n))
         # Half the trials get forced rank deficiency via a low-rank product.
         if trial % 2 == 0:
             r = int(rng.integers(1, min(m, n) + 1))
-            arr = (rng.integers(0, P, size=(m, r)) @ rng.integers(0, P, size=(r, n))) % P
+            left = rng.integers(0, p, size=(m, r)).astype(object)
+            arr = (left @ rng.integers(0, p, size=(r, n)).astype(object)) % p
+        # Entries p-1..p-3 make every unreduced update as large as it can be.
+        elif trial % 4 == 1:
+            arr = rng.integers(p - 3, p, size=(m, n))
         rows = arr.tolist()
-        mat = Matrix.from_rows(FP, rows)
-        assert mat.rank() == naive_rank_mod(rows, P)
+        mat = Matrix.from_rows(field, rows)
+        assert mat.rank() == naive_rank_mod(rows, p)
         ref, pivots = mat.rref()
-        oracle_ref, oracle_piv = naive_rref_mod(rows, P)
+        oracle_ref, oracle_piv = naive_rref_mod(rows, p)
         assert list(pivots) == oracle_piv
         assert ref.to_rows() == oracle_ref
         ker = mat.kernel_basis()
@@ -141,14 +148,19 @@ def test_blocked_elimination_agrees_with_oracle_on_random_matrices():
 
 def test_blocked_elimination_crosses_panel_boundaries():
     # Width beyond one 128-column panel, with dependent columns straddling
-    # the boundary.
+    # the boundary, and rank beyond one 128-row back-substitution block.
     rng = np.random.default_rng(7)
-    base = rng.integers(0, P, size=(60, 300))
+    base = rng.integers(0, P, size=(140, 300))
     base[:, 200] = (3 * base[:, 10] + 5 * base[:, 140]) % P
     base[:, 299] = base[:, 0]
     rows = base.tolist()
     mat = Matrix.from_rows(FP, rows)
     assert mat.rank() == naive_rank_mod(rows, P)
+    assert mat.rank() > 128
+    ref, pivots = mat.rref()
+    oracle_ref, oracle_piv = naive_rref_mod(rows, P)
+    assert list(pivots) == oracle_piv
+    assert ref.to_rows() == oracle_ref
     ker = mat.kernel_basis()
     assert (mat @ ker).is_zero()
 
