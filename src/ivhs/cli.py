@@ -471,14 +471,8 @@ def _csv_text(rows: list) -> str:
     return out.getvalue()
 
 
-def _emit(outcome: Outcome) -> None:
-    # Echo the caps as the budget checks read them, so a value they reject
-    # fails here too.
-    config = replace(
-        outcome.config,
-        budget_entries=dense_entry_budget() if "IVHS_BUDGET_ENTRIES" in os.environ else None,
-        max_unknowns=unknowns_budget() if "IVHS_MAX_UNKNOWNS" in os.environ else None,
-    )
+def _emit(outcome: Outcome, budgets: dict) -> None:
+    config = replace(outcome.config, **budgets)
     if config.format == "csv":
         if outcome.rows is None:
             raise UsageError("--format csv is only available for row tables")
@@ -512,7 +506,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        _emit(ns.func(ns))
+        # Read the caps as the budget checks will, before the command runs,
+        # so a value they reject fails before any work is done.
+        budgets = dict(
+            budget_entries=dense_entry_budget() if "IVHS_BUDGET_ENTRIES" in os.environ else None,
+            max_unknowns=unknowns_budget() if "IVHS_MAX_UNKNOWNS" in os.environ else None,
+        )
+        _emit(ns.func(ns), budgets)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

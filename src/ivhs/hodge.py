@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .errors import PreconditionError
 from .fields import FieldSpec
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, standard_complement
 
 Blocks = dict[tuple[int, int], Matrix]
 
@@ -400,10 +400,11 @@ def build_transpose_element(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChartData:
     """A chart of horizontal k-planes: a base subspace E0 of slot-0 maps
-    and a complement W of it in the slot-0 Hom space."""
+    and its coordinate complement W = standard_complement(E0) in the
+    slot-0 Hom space."""
 
     shape: HodgeShape
     field: FieldSpec
@@ -412,34 +413,30 @@ class ChartData:
 
     def __post_init__(self):
         h1, h0 = self.shape.slot_shape(0)
-        ambient = h1 * h0
-        if self.e0.ambient_dimension != ambient or self.w.ambient_dimension != ambient:
-            raise PreconditionError("chart subspaces live in the wrong Hom space")
-        if not self.w.is_complement_of(self.e0):
-            raise PreconditionError("W must be a complement of E0")
-        self._solver = None
+        if self.e0.ambient_dimension != h1 * h0:
+            raise PreconditionError("chart base lives in the wrong Hom space")
+        if self.w != standard_complement(self.e0):
+            raise PreconditionError("W must be the coordinate complement of E0")
 
     @property
     def k(self) -> int:
         return self.e0.dim
 
-    def _coordinate_solver(self) -> Matrix:
-        if self._solver is None:
-            stacked = Matrix.vstack([self.e0.basis, self.w.basis])
-            self._solver = stacked.inverse()
-        return self._solver
-
 
 def in_chart(candidate: IntegralElementCandidate, w: Subspace) -> bool:
     """Chart precondition: slot-0 projection has full dimension and meets
-    the complement W only at zero."""
-    p0_rows = _slot_rows(candidate, 0)
-    if p0_rows.rank() != candidate.k:
-        return False
-    if w.dim == 0:
-        return True
-    stacked = Matrix.vstack([p0_rows, w.basis])
-    return stacked.rank() == candidate.k + w.dim
+    the coordinate subspace W only at zero, i.e. its columns outside W
+    have rank k."""
+    h1, h0 = candidate.shape.slot_shape(0)
+    if w.ambient_dimension != h1 * h0:
+        raise PreconditionError("W lives in the wrong Hom space")
+    on_w = set(w.pivots)
+    outside = [j for j in range(w.ambient_dimension) if j not in on_w]
+    # W's basis is in RREF, so its rows are unit vectors iff they vanish
+    # off the pivot columns.
+    if not w.basis.col_select(outside).is_zero():
+        raise PreconditionError("W must be a coordinate subspace")
+    return _slot_rows(candidate, 0).col_select(outside).rank() == candidate.k
 
 
 @dataclass(frozen=True)
@@ -480,7 +477,7 @@ def theta(chart: ChartData, w_part: Matrix, parts: Sequence[Matrix]) -> Integral
         h_to, h_from = shape.slot_shape(m)
         if pm.shape != (k, h_to * h_from):
             raise PreconditionError(f"slot-{m} part has the wrong shape")
-    slot0_rows = chart.e0.basis + (w_part @ chart.w.basis if chart.w.dim else Matrix.zeros(field, k, chart.e0.ambient_dimension))
+    slot0_rows = chart.e0.basis + w_part @ chart.w.basis
     free_maps = [_row_maps(slot0_rows, shape.slot_shape(0))]
     free_maps += [_row_maps(pm, shape.slot_shape(m)) for m, pm in enumerate(parts, start=1)]
     elements = [complete_horizontal(shape, field, free) for free in zip(*free_maps)]
@@ -499,10 +496,11 @@ def theta_inverse(candidate: IntegralElementCandidate, chart: ChartData) -> Thet
         )
     if not in_chart(candidate, chart.w):
         raise PreconditionError("candidate is not in this chart")
-    coords = _slot_rows(candidate, 0) @ chart._coordinate_solver()
-    c0 = coords.col_select(range(k))
-    cw = coords.col_select(range(k, coords.cols))
-    t = c0.inverse()
-    w_part = t @ cw
+    # The slot-0 rows are C (E0 + w_part W) for an invertible C.  E0 is the
+    # identity on its pivot columns and W vanishes there, so those columns
+    # give C; W is the identity on its own pivot columns, which gives w_part.
+    p0 = _slot_rows(candidate, 0)
+    t = p0.col_select(chart.e0.pivots).inverse()
+    w_part = (t @ p0).col_select(chart.w.pivots) - chart.e0.basis.col_select(chart.w.pivots)
     parts = [t @ _slot_rows(candidate, m) for m in range(1, shape.free_slot_count)]
     return ThetaCoordinates(chart, w_part, tuple(parts))

@@ -13,7 +13,6 @@ degree sigma = (n+2)(d-2) and zero beyond; socle_check tests exactly that.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
@@ -37,11 +36,7 @@ SOCLE_DIMENSION_GUARD = 10_000_000
 
 
 class JacobianContext:
-    """A homogeneous polynomial together with cached quotient-ring pieces.
-
-    Thread-safe for readers: the piece cache is filled under a lock and
-    pieces are immutable once published.
-    """
+    """A homogeneous polynomial together with cached quotient-ring pieces."""
 
     def __init__(self, f: HomogeneousPoly):
         if f.degree < 2:
@@ -54,7 +49,6 @@ class JacobianContext:
             partial_derivative(f, i) for i in range(f.num_vars)
         )
         self._pieces: dict[int, GradedQuotientPiece] = {}
-        self._lock = threading.Lock()
 
     @staticmethod
     def fermat(n: int, d: int, field: FieldSpec | None = None) -> "JacobianContext":
@@ -84,15 +78,14 @@ class JacobianContext:
             raise PreconditionError("degree must be nonnegative")
         if method not in ("auto", "monomial", "dense"):
             raise PreconditionError(f"unknown method {method!r}")
-        if method == "auto":
-            with self._lock:
-                cached = self._pieces.get(m)
-            if cached is not None:
-                return cached
-            piece = self._build_piece(m, "monomial" if self.has_monomial_ideal else "dense")
-            with self._lock:
-                return self._pieces.setdefault(m, piece)
-        return self._build_piece(m, method)
+        if method != "auto":
+            return self._build_piece(m, method)
+        piece = self._pieces.get(m)
+        if piece is None:
+            piece = self._pieces[m] = self._build_piece(
+                m, "monomial" if self.has_monomial_ideal else "dense"
+            )
+        return piece
 
     # -- piece construction -------------------------------------------------
 
@@ -187,20 +180,6 @@ class GradedQuotientPiece:
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-
-def ideal_piece_rank(ctx: JacobianContext, m: int, method: str = "auto") -> int:
-    """dim of the degree-m piece of the Jacobian ideal."""
-    return ctx.piece(m, method=method).ideal_rank
-
-
-def quotient_piece(ctx: JacobianContext, m: int, method: str = "auto") -> GradedQuotientPiece:
-    """Standard monomials and projector for the degree-m quotient piece."""
-    return ctx.piece(m, method=method)
-
-
-def quotient_dimension(ctx: JacobianContext, m: int) -> int:
-    return ctx.piece(m).dim
 
 
 @dataclass(frozen=True)

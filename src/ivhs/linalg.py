@@ -591,6 +591,7 @@ class Subspace:
     field: FieldSpec
     ambient_dimension: int
     basis: Matrix  # dim x ambient, in RREF with no zero rows
+    pivots: tuple[int, ...]  # pivot column of each basis row, increasing
 
     @staticmethod
     def from_rows(field: FieldSpec, rows, ambient_dimension: int | None = None) -> "Subspace":
@@ -601,9 +602,9 @@ class Subspace:
         ambient = mat.cols if mat.rows else (ambient_dimension if ambient_dimension is not None else mat.cols)
         r, pivots = mat.rref()
         if not pivots:
-            return Subspace(field, ambient, Matrix.zeros(field, 0, ambient))
+            return Subspace(field, ambient, Matrix.zeros(field, 0, ambient), ())
         nz = r.row_select(range(len(pivots)))
-        return Subspace(field, ambient, nz)
+        return Subspace(field, ambient, nz, pivots)
 
     @property
     def dim(self) -> int:
@@ -633,17 +634,8 @@ class Subspace:
 
 def standard_complement(space: Subspace) -> Subspace:
     """Coordinate complement spanned by the non-pivot unit vectors."""
-    pivots = set()
-    b = space.basis
-    for i in range(b.rows):
-        row = b.row(i)
-        for j, x in enumerate(row):
-            if not space.field.is_zero(x):
-                pivots.add(j)
-                break
-    free = [j for j in range(space.ambient_dimension) if j not in pivots]
+    pivots = set(space.pivots)
+    free = tuple(j for j in range(space.ambient_dimension) if j not in pivots)
     # Unit rows in increasing column order are already in RREF.
-    units = Matrix.from_entries(
-        space.field, len(free), space.ambient_dimension, [(r, j, 1) for r, j in enumerate(free)]
-    )
-    return Subspace(space.field, space.ambient_dimension, units)
+    units = Matrix.identity(space.field, space.ambient_dimension).row_select(free)
+    return Subspace(space.field, space.ambient_dimension, units, free)

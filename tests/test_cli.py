@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ivhs import cli
 from ivhs.cli import main
 
 SMOOTH_SEXTIC = "x0^6 + x1^6 + x2^6 + x3^6 + x4^6 + x0*x1*x2*x3*x4*x0"
@@ -328,3 +329,15 @@ def test_env_budget_echoed_in_config(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "IVHS_BUDGET_ENTRIES must be positive" in err
+
+
+@pytest.mark.parametrize("name", ["IVHS_BUDGET_ENTRIES", "IVHS_MAX_UNKNOWNS"])
+def test_invalid_env_budget_refused_before_the_command_runs(capsys, monkeypatch, name):
+    def command_ran(ns):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "cmd_jacobian", command_ran)
+    monkeypatch.setenv(name, "-5")
+    code, out, err = run(capsys, ["jacobian", "--fermat", "3", "6", "--m", "1,6,7,13,20,21"])
+    assert (code, out) == (3, "")
+    assert f"{name} must be positive" in err

@@ -384,23 +384,50 @@ class TestChart:
         other = build_transpose_element([wmat], self.shape, F)
         assert not in_chart(other, self.w)
 
-    def test_theta_inverse_of_theta_is_identity(self):
-        for trial in range(25):
-            rng = np.random.default_rng((61, trial))
-            w_part = random_matrix(F, 2, self.w.dim, rng)
-            part1 = random_matrix(F, 2, 9, rng)
-            # slot-1 blocks of a horizontal element must be symmetric at odd
-            # weight only in the middle slot; weight 3 slot 1 is the middle
-            sym_rows = []
-            for a in range(2):
-                m = Matrix.from_rows(F, [part1.row(a)[i * 3 : (i + 1) * 3] for i in range(3)], cols=3)
-                m = m + m.transpose()
-                sym_rows.append(m.flatten())
-            part1 = Matrix.from_rows(F, sym_rows, cols=9)
-            cand = theta(self.chart, w_part, [part1])
-            coords = theta_inverse(cand, self.chart)
-            assert coords.w_part == w_part
-            assert coords.parts[0] == part1
+    @pytest.mark.parametrize("p", [10007, 2147483629])  # float64 and int64 elimination
+    def test_theta_inverse_of_theta_is_identity(self, p):
+        fld = FieldSpec.prime(p)
+        rng = np.random.default_rng(53)
+        rows = [random_matrix(fld, 3, 2, rng).flatten() for _ in range(2)]
+        bases = [
+            Subspace.from_rows(fld, rows, ambient_dimension=6),
+            # pivots not 0..k-1
+            Subspace.from_rows(fld, [[0, 0] + r[2:] for r in rows], ambient_dimension=6),
+            # the whole slot-0 Hom space: W = 0
+            Subspace.from_rows(fld, Matrix.identity(fld, 6)),
+        ]
+        assert bases[1].basis.col_select([0, 1]).is_zero() and bases[2].dim == 6
+        for e0 in bases:
+            chart = ChartData(self.shape, fld, e0, standard_complement(e0))
+            k = chart.k
+            for trial in range(25):
+                rng = np.random.default_rng((61, trial))
+                w_part = random_matrix(fld, k, chart.w.dim, rng)
+                part1 = random_matrix(fld, k, 9, rng)
+                # slot-1 blocks of a horizontal element must be symmetric at odd
+                # weight only in the middle slot; weight 3 slot 1 is the middle
+                sym_rows = []
+                for a in range(k):
+                    m = Matrix.from_rows(fld, [part1.row(a)[i * 3 : (i + 1) * 3] for i in range(3)], cols=3)
+                    m = m + m.transpose()
+                    sym_rows.append(m.flatten())
+                part1 = Matrix.from_rows(fld, sym_rows, cols=9)
+                cand = theta(chart, w_part, [part1])
+                coords = theta_inverse(cand, chart)
+                assert coords.w_part == w_part
+                assert coords.parts[0] == part1
+
+    def test_chart_needs_the_coordinate_complement(self):
+        # W' = span(w_0 + e_0, w_1, ...) is a complement of E0, but not the
+        # coordinate one
+        shift = Matrix.vstack([self.e0.basis.row_select([0]), Matrix.zeros(F, self.w.dim - 1, 6)])
+        other = Subspace.from_rows(F, self.w.basis + shift)
+        assert other.is_complement_of(self.e0) and other != self.w
+        with pytest.raises(PreconditionError):
+            ChartData(self.shape, F, self.e0, other)
+        cand = build_transpose_element(self.e0, self.shape, F)
+        with pytest.raises(PreconditionError):
+            in_chart(cand, other)
 
     def test_coordinates_are_basis_independent(self):
         # chart coordinates depend on the plane, not the spanning basis:

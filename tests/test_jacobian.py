@@ -13,10 +13,8 @@ from ivhs.jacobian import (
     JacobianContext,
     action_matrix,
     graded_table,
-    ideal_piece_rank,
     macaulay_injectivity_check,
     multiplication_map,
-    quotient_piece,
     smoothness_probe,
     socle_check,
 )
@@ -50,9 +48,9 @@ def _ideal_rows(ctx, m):
 
 
 def test_fermat_sextic_ideal_ranks(sextic):
-    assert ideal_piece_rank(sextic, 1) == 0
-    assert ideal_piece_rank(sextic, 6) == 25
-    assert ideal_piece_rank(sextic, 7) == 75
+    assert sextic.piece(1).ideal_rank == 0
+    assert sextic.piece(6).ideal_rank == 25
+    assert sextic.piece(7).ideal_rank == 75
 
 
 def test_fermat_sextic_ideal_rank_against_oracle(sextic):
@@ -66,24 +64,24 @@ def test_regular_sequence_identity(sextic):
     # dim J^m = (n+2) * dim S^(m-d+1).
     for m in range(5, 10):
         expected = sextic.num_vars * graded_dimension(5, m - 5)
-        assert ideal_piece_rank(sextic, m) == expected
+        assert sextic.piece(m).ideal_rank == expected
 
 
 def test_monomial_and_dense_paths_agree(sextic):
     for m in (5, 6, 7, 8):
-        pm = quotient_piece(sextic, m, method="monomial")
-        pd = quotient_piece(sextic, m, method="dense")
+        pm = sextic.piece(m, method="monomial")
+        pd = sextic.piece(m, method="dense")
         assert pm.ideal_rank == pd.ideal_rank
         assert pm.standard_monomials == pd.standard_monomials
         assert pm.projector == pd.projector
 
 
 def test_fermat_sextic_quotient_dimensions(sextic):
-    assert quotient_piece(sextic, 1).dim == 5
-    assert quotient_piece(sextic, 6).dim == 185
-    assert quotient_piece(sextic, 7).dim == 255
-    assert quotient_piece(sextic, 13).dim == 255
-    assert quotient_piece(sextic, 19).dim == 5
+    assert sextic.piece(1).dim == 5
+    assert sextic.piece(6).dim == 185
+    assert sextic.piece(7).dim == 255
+    assert sextic.piece(13).dim == 255
+    assert sextic.piece(19).dim == 5
 
 
 def test_piece_caching(sextic):
@@ -172,14 +170,14 @@ def test_macaulay_injectivity_constants_trivial(sextic):
 
 def test_socle_check_fermat_sextic(sextic):
     assert sextic.socle_degree == 20
-    assert quotient_piece(sextic, 20).dim == 1
-    assert quotient_piece(sextic, 21).dim == 0
+    assert sextic.piece(20).dim == 1
+    assert sextic.piece(21).dim == 0
     assert socle_check(sextic)
 
 
 def test_gorenstein_duality_dimensions(sextic):
     sigma = sextic.socle_degree
-    dims = {m: quotient_piece(sextic, m).dim for m in range(sigma + 1)}
+    dims = {m: sextic.piece(m).dim for m in range(sigma + 1)}
     for m in range(sigma + 1):
         assert dims[m] == dims[sigma - m]
 
@@ -214,7 +212,7 @@ def test_rational_and_modular_dimensions_agree_on_cubic_surface():
         ctx_q = make(QQ)
         ctx_p = make(FP)
         for m in range(ctx_q.socle_degree + 2):
-            assert quotient_piece(ctx_q, m).dim == quotient_piece(ctx_p, m).dim
+            assert ctx_q.piece(m).dim == ctx_p.piece(m).dim
         assert socle_check(ctx_q) == socle_check(ctx_p)
         for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
             assert action_matrix(ctx_q, a, b).rank() == action_matrix(ctx_p, a, b).rank()
@@ -240,8 +238,8 @@ def test_non_monomial_sextic_small_degrees():
     f = parse_poly("x0^6+x1^6+x2^6+x3^6+x4^6+x0*x1*x2*x3*x4^2", FP)
     ctx = JacobianContext(f)
     assert not ctx.has_monomial_ideal
-    assert quotient_piece(ctx, 6).dim == 185
-    assert quotient_piece(ctx, 7).dim == 255
+    assert ctx.piece(6).dim == 185
+    assert ctx.piece(7).dim == 255
 
 
 def test_budget_guard(monkeypatch):
@@ -249,7 +247,7 @@ def test_budget_guard(monkeypatch):
     f = parse_poly("x0^6+x1^6+x2^6+x3^6+x4^6+x0*x1*x2*x3*x4^2", FP)
     ctx = JacobianContext(f)
     with pytest.raises(BudgetExceededError):
-        quotient_piece(ctx, 7)
+        ctx.piece(7)
 
 
 def test_smoothness_probe_fermat(sextic):

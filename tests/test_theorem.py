@@ -8,7 +8,7 @@ import pytest
 from ivhs.errors import PreconditionError, SingularInputError
 from ivhs.fields import default_prime_field
 from ivhs.hodge import lie_algebra_residual, project
-from ivhs.jacobian import JacobianContext, quotient_dimension
+from ivhs.jacobian import JacobianContext
 from ivhs.polyring import HomogeneousPoly, parse_poly
 from ivhs.symmetrizers import fiber_forward_check
 from ivhs.theorem import (
@@ -46,9 +46,9 @@ class TestProfile:
         for n, d in [(3, 6), (4, 7)]:
             ctx = JacobianContext.fermat(n, d)
             p = profile(n, d)
-            assert quotient_dimension(ctx, d - n - 2) == p.h_n0
-            assert quotient_dimension(ctx, 2 * d - n - 2) == p.h_n1_1
-            assert quotient_dimension(ctx, d) == p.dim_e
+            assert ctx.piece(d - n - 2).dim == p.h_n0
+            assert ctx.piece(2 * d - n - 2).dim == p.h_n1_1
+            assert ctx.piece(d).dim == p.dim_e
 
     def test_threshold_definition(self):
         p = profile(3, 6)
@@ -234,9 +234,9 @@ class TestVerifyTheorem:
 
     def test_gorenstein_duality_fixture(self):
         ctx = JacobianContext.fermat(3, 6)
-        assert quotient_dimension(ctx, 7) == 255
-        assert quotient_dimension(ctx, 13) == 255
-        assert quotient_dimension(ctx, 20) == 1
+        assert ctx.piece(7).dim == 255
+        assert ctx.piece(13).dim == 255
+        assert ctx.piece(20).dim == 1
 
     def test_report_only_below_range(self):
         rep = verify_theorem(JacobianContext.fermat(3, 5))
