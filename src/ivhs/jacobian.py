@@ -209,11 +209,13 @@ def multiplication_map(ctx: JacobianContext, g: HomogeneousPoly, a: int) -> Mult
     src = ctx.piece(a)
     tgt = ctx.piece(a + g.degree)
     terms = list(g.terms())
+    if not terms:
+        return MultiplicationMap(ctx, g, a, Matrix.zeros(ctx.field, tgt.dim, src.dim))
     # Column u of the map is sum_t c_t * (projector column of u * x^t).
     cols = tgt.ambient.sum_index(src.standard_monomials, [t for t, _ in terms])
-    out = Matrix.zeros(ctx.field, tgt.dim, src.dim)
-    for k, (_, c) in enumerate(terms):
-        out = out + tgt.projector.col_select(cols[:, k]).scale(c)
+    out = tgt.projector.col_select(cols[:, 0]).scale(terms[0][1])
+    for k in range(1, len(terms)):
+        out = out + tgt.projector.col_select(cols[:, k]).scale(terms[k][1])
     return MultiplicationMap(ctx, g, a, out)
 
 
@@ -233,10 +235,33 @@ def action_matrix(ctx: JacobianContext, a: int, b: int) -> Matrix:
 
 
 def macaulay_injectivity_check(ctx: JacobianContext, a: int, b: int) -> bool:
-    """Whether R^a -> Hom(R^b, R^{a+b}) by multiplication is injective."""
+    """Whether R^a -> Hom(R^b, R^{a+b}) by multiplication is injective.
+
+    Certificate first: if g -> g u is injective on R^a for a single u in R^b,
+    so is the action.  u is a sum of s standard monomials of R^b with
+    nonzero coefficients, both drawn from a generator seeded by (a, b); s
+    starts at 16 and doubles until the map has full rank or u uses every
+    standard monomial.  Only then is the stacked action ranked, which is the
+    one path that can answer False.
+    """
     dim_a = ctx.piece(a).dim
     if dim_a == 0:
         return True
+    src_b = ctx.piece(b)
+    if 0 < src_b.dim and dim_a <= ctx.piece(a + b).dim:
+        rng = np.random.default_rng((a, b, 0x1AC))
+        order = rng.permutation(src_b.dim)
+        high = ctx.field.modulus if ctx.field.is_prime_field else 2**31
+        coeffs = rng.integers(1, high, size=src_b.dim).tolist()
+        s = min(16, src_b.dim)
+        while True:
+            terms = {src_b.standard_monomials[i]: coeffs[i] for i in order[:s]}
+            u = HomogeneousPoly.from_terms(ctx.field, ctx.num_vars, terms, degree=b)
+            if multiplication_map(ctx, u, a).matrix.rank() == dim_a:
+                return True
+            if s == src_b.dim:
+                break
+            s = min(2 * s, src_b.dim)
     return action_matrix(ctx, a, b).rank() == dim_a
 
 

@@ -79,9 +79,9 @@ def _fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if inner == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     bound = inner * (p - 1) ** 2
-    if bound < _FLOAT_SAFE:
+    if bound + p < _FLOAT_SAFE:
         prod = a.astype(np.float64) @ b.astype(np.float64)
-        return (prod % p).astype(np.int64)
+        return _reduce(prod, p).astype(np.int64)
     if bound < _INT_SAFE:
         return (a @ b) % p
     chunk = max(1, _INT_SAFE // (p - 1) ** 2)
@@ -426,6 +426,8 @@ class Matrix:
 
     def scale(self, c: Scalar) -> "Matrix":
         c = self.field.coerce(c)
+        if c == self.field.one():
+            return self  # immutable, so sharing is safe
         if self._fp is not None:
             return Matrix(self.field, (self._fp * int(c)) % self.field.modulus, None, self.shape)
         data = tuple(tuple(c * a for a in row) for row in self._q)

@@ -36,7 +36,7 @@ def _monomials_desc_lex(num_vars: int, degree: int) -> list[Exponents]:
 class MonomialBasis:
     """All exponent tuples of a fixed total degree, in descending lex order."""
 
-    __slots__ = ("num_vars", "degree", "monomials", "_index")
+    __slots__ = ("num_vars", "degree", "monomials", "_index", "_keys")
 
     def __init__(self, num_vars: int, degree: int):
         if num_vars < 1:
@@ -47,6 +47,7 @@ class MonomialBasis:
         self.degree = degree
         self.monomials: tuple[Exponents, ...] = tuple(_monomials_desc_lex(num_vars, degree))
         self._index = {m: i for i, m in enumerate(self.monomials)}
+        self._keys: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.monomials)
@@ -58,13 +59,47 @@ class MonomialBasis:
     def index(self, exponents: Sequence[int]) -> int:
         return self._index[tuple(exponents)]
 
+    def _key_weights(self) -> np.ndarray:
+        """Place values of the mixed-radix key: exponents are digits in base
+        degree + 1, x0 most significant, so descending lex order is
+        descending key order."""
+        base = self.degree + 1
+        if base ** self.num_vars > np.iinfo(np.int64).max:
+            raise PreconditionError(
+                f"monomial keys of degree {self.degree} in {self.num_vars} variables overflow int64"
+            )
+        return base ** np.arange(self.num_vars - 1, -1, -1, dtype=np.int64)
+
+    def _exponent_keys(self, monomials: Sequence[Exponents], weights: np.ndarray) -> tuple[np.ndarray, int]:
+        """Keys of homogeneous ``monomials`` and their common degree."""
+        e = np.array(monomials, dtype=np.int64).reshape(len(monomials), -1)
+        degrees = e.sum(axis=1)
+        if e.shape[1] != self.num_vars or e.min() < 0 or (degrees != degrees[0]).any():
+            raise KeyError("monomials must be homogeneous exponent tuples of the basis arity")
+        return e @ weights, int(degrees[0])
+
     def sum_index(self, left: Sequence[Exponents], right: Sequence[Exponents]) -> np.ndarray:
         """Index of u + v in this basis for u in ``left`` and v in ``right``,
-        as an int64 array of shape (len(left), len(right))."""
-        idx = self._index
-        table = (idx[tuple(a + b for a, b in zip(u, v))] for u in left for v in right)
-        size = len(left) * len(right)
-        return np.fromiter(table, dtype=np.int64, count=size).reshape(len(left), len(right))
+        as an int64 array of shape (len(left), len(right)).
+
+        The key is linear in the exponents, so key(u + v) = key(u) + key(v);
+        a sum of nonnegative exponent tuples of total degree ``degree`` is a
+        basis monomial, found by one binary search of the ascending keys.
+        Raises KeyError when the degrees of ``left`` and ``right`` do not add
+        up to ``degree``.
+        """
+        if not left or not right:
+            return np.zeros((len(left), len(right)), dtype=np.int64)
+        weights = self._key_weights()
+        lk, ldeg = self._exponent_keys(left, weights)
+        rk, rdeg = self._exponent_keys(right, weights)
+        if ldeg + rdeg != self.degree:
+            raise KeyError(f"degrees {ldeg} + {rdeg} do not add up to {self.degree}")
+        if self._keys is None:
+            # Ascending keys: the basis read backwards.
+            self._keys = np.array(self.monomials[::-1], dtype=np.int64) @ weights
+        pos = np.searchsorted(self._keys, lk[:, None] + rk[None, :])
+        return self.dim - 1 - pos
 
     def __contains__(self, exponents) -> bool:
         return tuple(exponents) in self._index

@@ -472,25 +472,36 @@ def canonical_symmetrizer_check(
     dim_b = ctx.piece(b).dim
     basis_e = ctx.piece(d).standard_monomials
     k = len(basis_e)
+
+    def multiplication_by_basis(src: int):
+        # The matrix of g -> multiplication_map(ctx, g, src) for the idx-th
+        # standard monomial g of R^d: column u is the projector column of
+        # u * g, so one index table serves every g.
+        tgt = ctx.piece(src + d)
+        cols = tgt.ambient.sum_index(ctx.piece(src).standard_monomials, basis_e)
+        return lambda idx: tgt.projector.col_select(cols[:, idx])
+
+    alpha_of = multiplication_by_basis(a) if a >= 0 else lambda idx: Matrix.zeros(ctx.field, dim_b, 0)
+    q_of = multiplication_by_basis(b)
     pairs = _sample_pairs(k, pair_sample, seed) if k >= 2 else []
-    used = sorted({i for ab in pairs for i in ab}) if pairs else list(range(min(k, 1)))
-    position = {idx: pos for pos, idx in enumerate(used)}
-    alphas = []
-    q_values = []
-    for idx in used:
-        g = HomogeneousPoly.from_terms(ctx.field, ctx.num_vars, {basis_e[idx]: 1})
-        alphas.append(
-            multiplication_map(ctx, g, a).matrix
-            if a >= 0
-            else Matrix.zeros(ctx.field, dim_b, 0)
-        )
-        q_values.append(multiplication_map(ctx, g, b).matrix)
-    nonzero = bool(q_values) and all(not q.is_zero() for q in q_values)
-    local_pairs = [(position[x], position[y]) for x, y in pairs]
-    identity = verify_candidate_symmetrizer(alphas, q_values, pairs=local_pairs)
-    return CanonicalSymmetrizerResult(
-        nonzero=nonzero, symmetric=identity.holds, pairs_checked=identity.pairs_checked
-    )
+    if not pairs:
+        nonzero = k >= 1 and not q_of(0).is_zero()
+        return CanonicalSymmetrizerResult(nonzero=nonzero, symmetric=True, pairs_checked=0)
+    # Pairs come sorted, so q(x) is built once per run of x and q(y) per
+    # pair: at most two q maps are held at once.
+    nonzero, symmetric, checked = True, True, 0
+    current = None
+    for x, y in pairs:
+        if x != current:
+            current, alpha_x, q_x = x, alpha_of(x), q_of(x)
+            nonzero = nonzero and not q_x.is_zero()
+        q_y = q_of(y)
+        nonzero = nonzero and not q_y.is_zero()
+        if symmetric:
+            identity = verify_candidate_symmetrizer([alpha_x, alpha_of(y)], [q_x, q_y], pairs=[(0, 1)])
+            symmetric = identity.holds
+            checked += identity.pairs_checked
+    return CanonicalSymmetrizerResult(nonzero=nonzero, symmetric=symmetric, pairs_checked=checked)
 
 
 def verify_theorem(

@@ -168,6 +168,47 @@ def test_macaulay_injectivity_constants_trivial(sextic):
     assert macaulay_injectivity_check(sextic, 0, 7)
 
 
+INJECTIVITY_FIXTURES = {
+    "fermat(3,3)": lambda: JacobianContext.fermat(3, 3),
+    "fermat(3,5)": lambda: JacobianContext.fermat(3, 5),
+    "cubic-surface-QQ": lambda: JacobianContext(
+        parse_poly("x0^3+x1^3+x2^3+x3^3+x0*x1*x2", QQ, num_vars=4)
+    ),
+    "quartic-surface-Fp": lambda: JacobianContext(
+        parse_poly("x0^4+x1^4+x2^4+x3^4+3*x0^2*x1*x3+x1*x2^3", FP, num_vars=4)
+    ),
+    # Singular at (0:1:0:0).  Their rings are not Gorenstein, so some
+    # actions into a nonzero R^{a+b} are not injective, one rank short:
+    # (1, 3) on the cubic, (2, 5) on the quartic.
+    "singular-cubic-surface-QQ": lambda: JacobianContext(
+        parse_poly("x0^2*x1+x2^3+x3^3+x2^2*x3", QQ, num_vars=4)
+    ),
+    "singular-quartic-surface-Fp": lambda: JacobianContext(
+        parse_poly("x0^2*x1^2+x2^4+x3^4+3*x0*x1*x2*x3", FP, num_vars=4)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(INJECTIVITY_FIXTURES))
+def test_injectivity_certificate_agrees_with_stacked_rank(name):
+    # Every (a, b) up to one past the socle degree: the one-multiplier
+    # certificate, or its fallback, must give the stacked action's answer.
+    # On a smooth fixture a non-injective action has R^{a+b} = 0 and skips
+    # the certificate; on a singular one the certificate is tried and fails
+    # first, and only the fallback can answer False.
+    ctx = INJECTIVITY_FIXTURES[name]()
+    non_injective = tried_and_failed = 0
+    for a in range(ctx.socle_degree + 2):
+        for b in range(ctx.socle_degree + 2 - a):
+            dim_a = ctx.piece(a).dim
+            stacked = dim_a == 0 or action_matrix(ctx, a, b).rank() == dim_a
+            assert macaulay_injectivity_check(ctx, a, b) == stacked, (a, b)
+            non_injective += not stacked
+            tried_and_failed += not stacked and 0 < ctx.piece(b).dim and dim_a <= ctx.piece(a + b).dim
+    assert non_injective > 0
+    assert (tried_and_failed > 0) == name.startswith("singular")
+
+
 def test_socle_check_fermat_sextic(sextic):
     assert sextic.socle_degree == 20
     assert sextic.piece(20).dim == 1

@@ -208,6 +208,24 @@ def test_matmul_large_prime_int64_path():
     assert prod == expect
 
 
+@pytest.mark.parametrize("inner", [127, 128, 129])
+def test_matmul_at_largest_float64_prime_near_the_bound(inner):
+    # 8388593 is the largest prime with 128 * (p-1)^2 + p < 2^53: inner 128
+    # is the widest float64 product, 129 takes the int64 path.  Entries near
+    # p push every sum close to the bound; 24x24 outputs take the floor-based
+    # reduction.
+    p = 8388593
+    fld = FieldSpec.prime(p)
+    rng = np.random.default_rng(inner)
+    a = p - 1 - rng.integers(0, 3, size=(24, inner))
+    b = p - 1 - rng.integers(0, 3, size=(inner, 24))
+    a[0] = rng.integers(0, p, size=inner)
+    prod = (Matrix.from_array(fld, a) @ Matrix.from_array(fld, b)).array
+    expect = (a.astype(object) @ b.astype(object)) % p
+    assert prod.dtype == np.int64
+    assert (prod.astype(object) == expect).all()
+
+
 def test_elimination_large_prime_int64_path():
     big = FieldSpec.prime(2147483629)
     rng = np.random.default_rng(9)

@@ -71,6 +71,53 @@ def test_basis_index_round_trip():
         assert b.index(m) == i
 
 
+def _dict_sum_index(amb, left, right):
+    """Reference: look every exponent sum up in the basis index."""
+    table = [[amb.index(tuple(a + b for a, b in zip(u, v))) for v in right] for u in left]
+    return np.array(table, dtype=np.int64).reshape(len(left), len(right))
+
+
+@pytest.mark.parametrize(
+    "num_vars, left_deg, right_deg",
+    [(1, 0, 0), (1, 3, 4), (2, 0, 0), (3, 0, 2), (3, 2, 0), (4, 3, 3), (5, 1, 6), (5, 4, 4)],
+)
+def test_sum_index_matches_dict_lookup(num_vars, left_deg, right_deg):
+    amb = basis(num_vars, left_deg + right_deg)
+    left = basis(num_vars, left_deg).monomials
+    right = basis(num_vars, right_deg).monomials
+    got = amb.sum_index(left, right)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _dict_sum_index(amb, left, right))
+    # A subset in arbitrary order, as standard monomials are passed.
+    sub = left[::-2]
+    assert np.array_equal(amb.sum_index(sub, right), _dict_sum_index(amb, sub, right))
+
+
+def test_sum_index_empty_sides():
+    amb = basis(3, 4)
+    assert amb.sum_index([], basis(3, 2).monomials).shape == (0, 6)
+    assert amb.sum_index(basis(3, 2).monomials, ()).shape == (6, 0)
+
+
+def test_sum_index_refuses_wrong_degrees():
+    amb = basis(3, 4)
+    two, three = basis(3, 2).monomials, basis(3, 3).monomials
+    with pytest.raises(KeyError):
+        amb.sum_index(two, three)  # degree 5, whose keys can alias degree-4 ones
+    with pytest.raises(KeyError):
+        amb.sum_index([(2, 0, 0), (1, 0, 0)], [(1, 1, 0)])  # left not homogeneous
+    with pytest.raises(KeyError):
+        amb.sum_index([(2, 0)], [(1, 1)])  # wrong arity
+    with pytest.raises(KeyError):
+        amb.sum_index([(3, -1, 0)], [(1, 1, 0)])  # negative exponent
+
+
+def test_sum_index_refuses_keys_beyond_int64():
+    amb = basis(64, 1)  # (1 + 1)^64 keys do not fit in int64
+    with pytest.raises(PreconditionError):
+        amb.sum_index(basis(64, 0).monomials, amb.monomials)
+
+
 def test_multiply_monomials():
     x0 = HomogeneousPoly.monomial(FP, (1, 0, 0, 0, 0))
     x05 = HomogeneousPoly.monomial(FP, (5, 0, 0, 0, 0))

@@ -1,6 +1,7 @@
 """Tests for hypersurface profiles, inequalities, monotonicity, geometric
 frames, and the verify_theorem pipeline."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,10 @@ from ivhs.hodge import lie_algebra_residual, project
 from ivhs.jacobian import JacobianContext
 from ivhs.polyring import HomogeneousPoly, parse_poly
 from ivhs.symmetrizers import fiber_forward_check
+from ivhs import theorem
 from ivhs.theorem import (
     base_case_terms,
+    canonical_symmetrizer_check,
     fixture_id,
     geometric_frame_candidate,
     hypersurface_hodge_shape,
@@ -263,6 +266,36 @@ class TestVerifyTheorem:
         rep = verify_theorem(JacobianContext.fermat(3, 5), pair_sample=10**9)
         k = 101
         assert rep.symmetrizer_pairs_checked == k * (k - 1) // 2
+
+    def test_canonical_check_without_pairs(self):
+        result = canonical_symmetrizer_check(JacobianContext.fermat(3, 5), pair_sample=0)
+        assert (result.nonzero, result.symmetric, result.pairs_checked) == (True, True, 0)
+
+    def test_canonical_check_counts_pairs_before_the_first_failure(self, monkeypatch):
+        real = theorem.verify_candidate_symmetrizer
+        calls = []
+
+        def fail_third_pair(e_basis, q_values, pairs=None):
+            calls.append(pairs)
+            result = real(e_basis, q_values, pairs=pairs)
+            return result if len(calls) != 3 else replace(result, holds=False, pairs_checked=0)
+
+        monkeypatch.setattr(theorem, "verify_candidate_symmetrizer", fail_third_pair)
+        result = canonical_symmetrizer_check(JacobianContext.fermat(3, 5), pair_sample=10)
+        assert (result.nonzero, result.symmetric, result.pairs_checked) == (True, False, 2)
+        assert calls == [[(0, 1)]] * 3
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("d", [7, 8])
+    def test_fermat_beyond_the_sextic_witnessed(self, d):
+        # The stacked action of R^d on R^{2d-5} is 1030225 x 470 at d = 8,
+        # over the default budget; the one-multiplier certificate is not.
+        rep = verify_theorem(JacobianContext.fermat(3, d), socle_mode="full")
+        assert rep.socle_mode == "full"
+        assert rep.dims_match
+        assert rep.p0_injective and rep.p1_injective
+        assert rep.canonical_symmetrizer_nonzero
+        assert rep.verdict == "NonGenericityWitnessed"
 
     @pytest.mark.slow
     def test_random_smooth_sextic_witnessed(self):
