@@ -615,9 +615,6 @@ class Subspace:
     def contains(self, vector: Sequence[Scalar]) -> bool:
         return coordinates_in_rowspace(self.basis, vector) is not None
 
-    def contains_rowspace(self, other: "Subspace") -> bool:
-        return all(self.contains(other.basis.row(i)) for i in range(other.dim))
-
     def intersects_trivially(self, other: "Subspace") -> bool:
         if self.ambient_dimension != other.ambient_dimension:
             raise PreconditionError("ambient dimensions differ")

@@ -5,11 +5,12 @@ symmetrizer is a linear map q: E -> Hom(G^1, G^2) with
 
     q(alpha_b) . alpha_a  =  q(alpha_a) . alpha_b      for all pairs a < b.
 
-The conditions assemble into one linear system over the field: unknowns are
-the k stacked row-major vectorizations of the q(alpha_a), and each pair
-contributes the block [I_{g2} (x) t(alpha_a)] against column group b minus
-[I_{g2} (x) t(alpha_b)] against column group a.  The symmetrizer space is
-its kernel.
+Each row of q(alpha) in Hom(G^1, G^2) obeys the same conditions, independently
+of the other rows, so the space is Sym(E; F) (x) G^2: the conditions are
+assembled and solved for one row of q, and the kernel is tensored up.  The
+unknowns of that system are the k stacked rows y_a of q(alpha_a), and each
+pair contributes g0 equations, t(alpha_a) against column group b minus
+t(alpha_b) against column group a.
 
 Witness constructions: an explicit rank-one pair when dim G^1 = 1, and the
 direct-sum construction for arbitrary (g0, g1) built from verified random
@@ -83,43 +84,32 @@ class SubspaceE:
         return len(self.basis)
 
 
-def _kron_identity_transpose(copies: int, alpha: Matrix) -> Matrix:
-    """Block-diagonal matrix of ``copies`` copies of t(alpha)."""
-    at = alpha.transpose()
-    zero = Matrix.zeros(alpha.field, at.rows, at.cols)
-    return Matrix.vstack(
-        [Matrix.hstack([at if c == r else zero for c in range(copies)]) for r in range(copies)]
-    )
-
-
 def symmetrizer_system(e: SubspaceE) -> Matrix:
-    """Coefficient matrix of the symmetrizer conditions.
+    """Coefficient matrix of the symmetrizer conditions on one row of q.
 
-    Rows: one block of g2*g0 equations per pair a < b; columns: k groups of
-    g2*g1 unknowns (row-major vec of each q(alpha_a)).
+    Rows: one block of g0 equations per pair a < b; columns: k groups of g1
+    unknowns (the row of q(alpha_a) in group a).
     """
     s = e.setting
     k = e.k
-    field = s.field
-    n_unknowns = k * s.g2 * s.g1
-    n_rows = (k * (k - 1) // 2) * s.g2 * s.g0
-    if k < 2 or n_rows == 0 or n_unknowns == 0:
-        return Matrix.zeros(field, n_rows, n_unknowns)
-    blocks = []
-    zero_block = Matrix.zeros(field, s.g2 * s.g0, s.g2 * s.g1)
-    for a in range(k):
-        for b in range(a + 1, k):
-            row_groups = [zero_block] * k
-            row_groups[b] = _kron_identity_transpose(s.g2, e.basis[a])
-            row_groups[a] = -_kron_identity_transpose(s.g2, e.basis[b])
-            blocks.append(Matrix.hstack(row_groups))
-    return Matrix.vstack(blocks)
+    n_rows = (k * (k - 1) // 2) * s.g0
+    if n_rows == 0:
+        return Matrix.zeros(s.field, 0, k * s.g1)
+    # Blocks of g0 rows: t(alpha_0..alpha_{k-1}), their negatives, then zero.
+    at = Matrix.vstack([alpha.transpose() for alpha in e.basis])
+    blocks = Matrix.vstack([at, -at, Matrix.zeros(s.field, s.g0, s.g1)])
+    a, b = (x[:, None] for x in np.triu_indices(k, 1))
+    c = np.arange(k)[None, :]
+    block = np.where(c == b, a, np.where(c == a, k + b, 2 * k))  # (pair, column group)
+    index = block[:, None, :] * s.g0 + np.arange(s.g0)[None, :, None]  # (pair, j, column group)
+    return blocks.row_select(index.ravel()).reshape(n_rows, k * s.g1)
 
 
 @dataclass(frozen=True)
 class SymmetrizerSpace:
-    """Kernel of the symmetrizer system: each basis element is a map
-    q: E -> Hom(G^1, G^2) stored as a k x (g2*g1) coordinate matrix."""
+    """Sym(E; F) (x) G^2, the kernel of the symmetrizer system tensored up:
+    each basis element is a map q: E -> Hom(G^1, G^2) stored as a
+    k x (g2*g1) coordinate matrix, listed by its free unknown (a, i, t)."""
 
     subspace: SubspaceE
     dimension: int
@@ -136,18 +126,26 @@ def symmetrizer_space(e: SubspaceE, max_unknowns: int | None = None) -> Symmetri
     """Solve the symmetrizer system exactly and re-verify every kernel element."""
     s = e.setting
     cap = unknowns_budget() if max_unknowns is None else max_unknowns
+    # Counted over all of q, the width of each basis element, so that k = 1
+    # with a huge g2 is still refused.
     n_unknowns = e.k * s.g2 * s.g1
     if n_unknowns > cap:
         raise BudgetExceededError(
             f"symmetrizer system has {n_unknowns} unknowns, beyond the cap of {cap} "
             "(raise IVHS_MAX_UNKNOWNS to override)"
         )
-    system = symmetrizer_system(e)
-    kernel = system.kernel_basis()  # n_unknowns x dim
-    dim = kernel.cols
-    basis = tuple(kernel.col_select([j]).reshape(e.k, s.g2 * s.g1) for j in range(dim))
-    space = SymmetrizerSpace(e, dim, basis)
-    for j in range(dim):
+    kernel = symmetrizer_system(e).kernel_basis().transpose()  # one row of q per row
+    # Row j is free at its last nonzero entry a_j*g1 + t_j; the g2-fold kernel
+    # lists its vectors by free unknown (a, i, t), row j placed in row i of q.
+    free = [max(c for c, x in enumerate(row) if x) for row in kernel.to_rows()]
+    order = sorted((free[j] // s.g1, i, j) for j in range(kernel.rows) for i in range(s.g2))
+    zero = Matrix.zeros(s.field, e.k, s.g1)
+    basis = tuple(
+        Matrix.hstack([zero] * i + [kernel.row_select([j]).reshape(e.k, s.g1)] + [zero] * (s.g2 - 1 - i))
+        for _, i, j in order
+    )
+    space = SymmetrizerSpace(e, len(basis), basis)
+    for j in range(space.dimension):
         result = verify_candidate_symmetrizer(list(e.basis), space.element_maps(j))
         if not result.holds:
             raise AssertionError("kernel element fails the symmetrizer identity")

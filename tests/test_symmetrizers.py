@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ivhs.errors import BudgetExceededError, PreconditionError
-from ivhs.fields import default_prime_field
+from ivhs.fields import FieldSpec, default_prime_field
 from ivhs.hodge import (
     ChartData,
     HodgeShape,
@@ -29,15 +29,16 @@ from ivhs.symmetrizers import (
     verify_candidate_symmetrizer,
 )
 
-from oracle import naive_rank_mod
+from oracle import naive_kernel_mod, naive_rank_fraction, naive_rank_mod
 
 F = default_prime_field()
 P = F.modulus
 
 
-def naive_symmetrizer_dimension(e: SubspaceE) -> int:
-    """Entry-by-entry assembly of the pair conditions, kernel dim by the
-    naive rank oracle.  Unknown x[a][u][v] = q(alpha_a)[u, v]."""
+def naive_symmetrizer_rows(e: SubspaceE) -> list[list]:
+    """Entry-by-entry assembly of the pair conditions on the whole of q, g2
+    rows at once.  Unknown x[a][u][v] = q(alpha_a)[u, v] sits at column
+    (a * g2 + u) * g1 + v; entries are left unreduced."""
     s = e.setting
     k = e.k
     n_unknowns = k * s.g2 * s.g1
@@ -50,9 +51,17 @@ def naive_symmetrizer_dimension(e: SubspaceE) -> int:
                 for j in range(s.g0):
                     row = [0] * n_unknowns
                     for t in range(s.g1):
-                        row[(b * s.g2 + i) * s.g1 + t] = (row[(b * s.g2 + i) * s.g1 + t] + alpha_a[t][j]) % P
-                        row[(a * s.g2 + i) * s.g1 + t] = (row[(a * s.g2 + i) * s.g1 + t] - alpha_b[t][j]) % P
+                        row[(b * s.g2 + i) * s.g1 + t] += alpha_a[t][j]
+                        row[(a * s.g2 + i) * s.g1 + t] -= alpha_b[t][j]
                     rows.append(row)
+    return rows
+
+
+def naive_symmetrizer_dimension(e: SubspaceE) -> int:
+    """Kernel dimension of the naive rows by the naive rank oracle."""
+    s = e.setting
+    n_unknowns = e.k * s.g2 * s.g1
+    rows = naive_symmetrizer_rows(e)
     if not rows:
         return n_unknowns
     return n_unknowns - naive_rank_mod(rows, P)
@@ -108,13 +117,13 @@ class TestSystem:
         s = CompositionSetting(3, 4, 2, F)
         e = random_subspace_e(s, 3, 11)
         sys = symmetrizer_system(e)
-        assert sys.shape == (3 * 2 * 3, 3 * 2 * 4)  # C(3,2) g2 g0  x  k g2 g1
+        assert sys.shape == (3 * 3, 3 * 4)  # C(3,2) g0  x  k g1: one row of q
 
     def test_k1_has_no_conditions(self):
         s = CompositionSetting(3, 4, 2, F)
         e = random_subspace_e(s, 1, 13)
         sys = symmetrizer_system(e)
-        assert sys.shape == (0, 8)
+        assert sys.shape == (0, 4)
         assert symmetrizer_space(e).dimension == 2 * 4
 
     def test_matches_naive_assembly_on_grid(self):
@@ -130,6 +139,56 @@ class TestSystem:
                         e = random_subspace_e(s, k, seed)
                         fast = symmetrizer_space(e).dimension
                         assert fast == naive_symmetrizer_dimension(e), (g0, g1, g2, k)
+
+    def test_basis_matches_naive_kernel_of_full_system(self):
+        # The tensored-up basis is the canonical RREF kernel basis of the
+        # g2-fold system: same vectors, same order.
+        seed = 200
+        tensored = 0
+        for g0 in (1, 2, 3):
+            for g1 in range(4):
+                for g2 in range(4):
+                    s = CompositionSetting(g0, g1, g2, F)
+                    for k in range(4):
+                        if k > s.hom_dimension:
+                            continue
+                        seed += 1
+                        e = random_subspace_e(s, k, seed)
+                        n = k * g2 * g1
+                        rows = naive_symmetrizer_rows(e)
+                        if rows:
+                            want = naive_kernel_mod(rows, P)
+                        else:
+                            want = [[int(i == j) for j in range(n)] for i in range(n)]
+                        got = [b.flatten() for b in symmetrizer_space(e).basis]
+                        assert got == want, (g0, g1, g2, k)
+                        tensored += k >= 2 and g2 >= 2 and bool(want)
+        assert tensored > 0
+
+    @pytest.mark.parametrize("g2", [2, 3])
+    def test_rational_dimension_matches_naive_rank(self, g2):
+        # Rank-deficient integer maps through one hyperplane H of G^1: every
+        # q that vanishes on H is a symmetrizer, so the space is nonzero.
+        q = FieldSpec.rationals()
+        for g0, g1, k in [(2, 2, 2), (2, 3, 3), (3, 2, 3), (3, 3, 4)]:
+            s = CompositionSetting(g0, g1, g2, q)
+            rng = np.random.default_rng((g0, g1, g2, k))
+            hyperplane = rng.integers(-3, 4, (g1, g1 - 1))
+            for _ in range(32):
+                mats = tuple(
+                    Matrix.from_rows(q, (hyperplane @ rng.integers(-3, 4, (g1 - 1, g0))).tolist())
+                    for _ in range(k)
+                )
+                try:
+                    e = SubspaceE(s, mats)
+                    break
+                except PreconditionError:
+                    continue
+            else:
+                raise AssertionError("sampling failed")
+            dim = symmetrizer_space(e).dimension
+            assert dim > 0
+            assert dim == k * g2 * g1 - naive_rank_fraction(naive_symmetrizer_rows(e)), (g0, g1, k)
 
     def test_every_kernel_element_satisfies_identity(self):
         s = CompositionSetting(2, 3, 2, F)
