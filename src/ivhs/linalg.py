@@ -8,6 +8,22 @@ Between two reductions mod p an entry takes at most ``panel`` updates
 x -= f * y with f and y in [0, p), so |x| < p + panel * (p-1)^2 and every
 entry stays an exact integer: the kernels reduce once per panel, not once
 per pivot, and no floating-point rounding can occur on any path.
+
+A structural stage runs before the core (the structural-pivot step of
+Faugere-Lachartre, PASCO 2010).  A row whose first nonzero column no
+earlier row leads is a structural row; its lead column is a pivot column
+of the RREF, because no column left of it can produce that entry.  The
+structural rows reduce among themselves by a triangular solve, one product
+per dependency level; the other nonzero rows are reduced against them into
+a Schur complement on the remaining columns, and only that complement goes
+to the core.  All-zero rows enter neither.  Since the RREF over F_p is
+unique, the result is bit-identical to eliminating the whole matrix.  The
+stage's products are exact too: each goes through ``_fp_matmul``, whose
+float64 path needs inner * (p-1)^2 + p < 2^53 and whose int64 path splits
+the inner dimension below 2^62, or applies the entries of a sparse factor
+one at a time, reducing every product mod p before a row's terms are
+summed in int64.  With fewer than ``_STRUCTURAL_MIN`` structural pivots
+the whole matrix goes to the core.
 """
 
 from __future__ import annotations
@@ -24,6 +40,11 @@ from .fields import FieldSpec, Scalar
 _FLOAT_PANEL = 128
 _FLOAT_SAFE = 2**53
 _INT_SAFE = 2**62
+# With fewer structural pivots the stage saves less than it costs, and the
+# whole matrix goes to the dense core.
+_STRUCTURAL_MIN = 4
+# Most entries a sparse product holds at once.
+_ENTRY_CHUNK = 2**22
 
 
 def _elim_dtype_and_panel(p: int) -> tuple[np.dtype, int]:
@@ -138,19 +159,18 @@ def _fp_forward_echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         a[r:, cols] = _reduce(blk, p)
         # Pivot rows missed the updates from earlier pivots of this panel on
         # the trailing columns; forward-substitute, then update the rows
-        # below with one product.
-        top = a[r : r + k, c1:]
-        for j in range(1, k):
-            _update(top[j : j + 1], F[j : j + 1, :j], top[:j], p)
-        _update(a[r + k :, c1:], F[k:, :k], top, p)
+        # below with one product.  The last panel has no trailing columns.
+        if c1 < n:
+            top = a[r : r + k, c1:]
+            for j in range(1, k):
+                _update(top[j : j + 1], F[j : j + 1, :j], top[:j], p)
+            _update(a[r + k :, c1:], F[k:, :k], top, p)
         r += k
     return a, pivots
 
 
-def _fp_rank(arr: np.ndarray, p: int) -> int:
+def _dense_rank(arr: np.ndarray, p: int) -> int:
     dtype, _ = _elim_dtype_and_panel(p)
-    if arr.size == 0:
-        return 0
     # Eliminating the transpose is cheaper when the matrix is much taller
     # than wide; rank is unchanged.
     work = arr.T if arr.shape[0] > 4 * arr.shape[1] else arr
@@ -159,8 +179,8 @@ def _fp_rank(arr: np.ndarray, p: int) -> int:
     return len(pivots)
 
 
-def _fp_rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p: unit pivots, zeros above and below.
+def _dense_rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Dense RREF in the elimination dtype: rows 0..r-1 hold the result.
 
     Back-substitution runs bottom-up in blocks of at most ``panel`` pivot
     rows: a sweep inside the block, whose rows take fewer than ``panel``
@@ -168,10 +188,7 @@ def _fp_rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     from every row above it.
     """
     dtype, panel = _elim_dtype_and_panel(p)
-    a = np.array(arr, dtype=dtype, order="C")
-    if a.size == 0:
-        return a.astype(np.int64), []
-    a, pivots = _fp_forward_echelon(a, p)
+    a, pivots = _fp_forward_echelon(np.array(arr, dtype=dtype, order="C"), p)
     for hi in range(len(pivots), 0, -panel):
         lo = max(0, hi - panel)
         c = pivots[lo]
@@ -184,7 +201,160 @@ def _fp_rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
                 _reduce(row, p)
             _update(blk[:i, ci:], blk[:i, ci : ci + 1] % p, row[None, :])
         _update(a[:lo, c:], a[:lo, pivots[lo:hi]], blk, p)
-    return a.astype(np.int64), pivots
+    return a, pivots
+
+
+def _sub_product(x: np.ndarray, f: np.ndarray, y: np.ndarray, p: int) -> None:
+    """x = (x - f @ y) mod p in place, for int64 arrays with entries in [0, p).
+
+    As in ``_update``, only the rows of f, the inner indices and the columns
+    of y that hold a nonzero enter the product; ``_fp_matmul`` keeps it exact.
+    """
+    rows = f.any(axis=1).nonzero()[0]
+    inner = (f.any(axis=0) & y.any(axis=1)).nonzero()[0]
+    cols = y.any(axis=0).nonzero()[0]
+    if rows.size and inner.size and cols.size:
+        ix = np.ix_(rows, cols)
+        x[ix] = (x[ix] - _fp_matmul(f[np.ix_(rows, inner)], y[np.ix_(inner, cols)], p)) % p
+
+
+def _sub_entries(x: np.ndarray, i: np.ndarray, j: np.ndarray, v: np.ndarray, y: np.ndarray, p: int) -> None:
+    """``_sub_product`` for f given by its nonzero entries (i, j, v), sorted by i.
+
+    Entries that fill at least 1/32 of the block of rows and inner indices
+    they touch are scattered into that block, which is multiplied densely.
+    Sparser ones are applied one by one, x[i] -= v * y[j], skipping those
+    that meet a zero row of y: each product is reduced mod p before a row's
+    terms are summed, so int64 holds every sum, and at most
+    ``_ENTRY_CHUNK`` products exist at once.
+    """
+    rows = np.bincount(i, minlength=x.shape[0]).nonzero()[0]
+    inner = np.bincount(j, minlength=y.shape[0]).nonzero()[0]
+    if 32 * i.size >= rows.size * inner.size:
+        f = np.zeros((rows.size, inner.size), dtype=np.int64)
+        f[np.searchsorted(rows, i), np.searchsorted(inner, j)] = v
+        x[rows] = (x[rows] - _fp_matmul(f, y[inner], p)) % p
+        return
+    hit = y.any(axis=1)[j]
+    i, j, v = i[hit], j[hit], v[hit]
+    cols = y.any(axis=0).nonzero()[0]
+    step = max(1, _ENTRY_CHUNK // max(1, cols.size))
+    for lo in range(0, i.size, step):
+        seg = i[lo : lo + step]
+        t = y[np.ix_(j[lo : lo + step], cols)]
+        t *= v[lo : lo + step, None]
+        t %= p
+        starts = np.r_[0, (seg[1:] != seg[:-1]).nonzero()[0] + 1]
+        ix = np.ix_(seg[starts], cols)
+        x[ix] = (x[ix] - np.add.reduceat(t, starts)) % p
+
+
+def _levels(dep: np.ndarray):
+    """Yield the rows of a dependency DAG level by level.
+
+    ``dep[i, j]`` says row i needs row j first.  Level 0 needs nothing; a
+    row comes one level after the last row it needs.
+    """
+    waiting = dep.sum(axis=1)
+    level = (waiting == 0).nonzero()[0]
+    while level.size:
+        yield level
+        waiting[level] = -1
+        waiting -= dep[:, level].sum(axis=1)
+        level = (waiting == 0).nonzero()[0]
+
+
+def _structural_stage(a: np.ndarray, p: int) -> np.ndarray | tuple[np.ndarray, ...]:
+    """Split off the structural pivots of ``a`` (int64, entries in [0, p)).
+
+    A row's lead is its first nonzero column; the first row to lead a column
+    is that column's structural row.  With fewer than ``_STRUCTURAL_MIN``
+    structural rows this returns the nonzero rows of ``a``, for the dense
+    core.  Otherwise it returns the tuple (L, N, B, C): the lead columns,
+    the other columns, the structural rows reduced to [I | B] on (L, N),
+    and the Schur complement C on N of the other nonzero rows, without its
+    zero rows.
+    """
+    m, n = a.shape
+    nz = a != 0
+    lead = nz.argmax(axis=1)
+    live = nz[np.arange(m), lead].nonzero()[0]
+    first = np.full(n, m)  # first row to lead each column; m if none does
+    np.minimum.at(first, lead[live], live)
+    lcols = (first < m).nonzero()[0]
+    if lcols.size < _STRUCTURAL_MIN:
+        return a if live.size == m else a[live]
+    srows = first[lcols]
+    ncols = (first == m).nonzero()[0]
+    # Structural row i needs row j when it is nonzero at j's lead, which lies
+    # right of its own: the block on L is triangular, solved level by level
+    # with one product each.
+    dep = nz[np.ix_(srows, lcols)]
+    rest = live[first[lead[live]] != live]
+    ri, rj = np.nonzero(nz[np.ix_(rest, lcols)])
+    del nz
+    diag = np.arange(lcols.size)
+    dep[diag, diag] = False
+    inv = np.array([pow(int(x), p - 2, p) for x in a[srows, lcols]], dtype=np.int64)
+    b = a[np.ix_(srows, ncols)]
+    for depth, rows in enumerate(_levels(dep)):
+        br = b[rows]
+        if depth:
+            ti, tj = np.nonzero(dep[rows])
+            _sub_entries(br, ti, tj, a[srows[rows[ti]], lcols[tj]], b, p)
+        b[rows] = br * inv[rows, None] % p
+    c = a[np.ix_(rest, ncols)]
+    _sub_entries(c, ri, rj, a[rest[ri], lcols[rj]], b, p)
+    return lcols, ncols, b, c[c.any(axis=1)]
+
+
+def _fp_rank(arr: np.ndarray, p: int) -> int:
+    if arr.size == 0:
+        return 0
+    split = _structural_stage(arr, p)
+    if not isinstance(split, tuple):
+        return _dense_rank(split, p)
+    lcols, _, _, c = split
+    return lcols.size + _dense_rank(c, p)
+
+
+def _fp_rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p: unit pivots, zeros above and below.
+
+    Every lead column of the structural stage is a pivot column, and the
+    RREF is unique, so eliminating the Schur complement densely and then
+    clearing the structural rows at its pivot columns gives the same rows
+    as eliminating the whole matrix.
+    """
+    m, n = arr.shape
+    if arr.size == 0:
+        return np.zeros((m, n), dtype=np.int64), []
+    split = _structural_stage(arr, p)
+    if not isinstance(split, tuple):
+        work, pivots = _dense_rref(split, p)
+        out = np.zeros((m, n), dtype=np.int64)
+        out[: len(pivots)] = work[: len(pivots)]
+        return out, pivots
+    lcols, ncols, b, c = split
+    work, cpiv = _dense_rref(c, p)
+    red = work[: len(cpiv)].astype(np.int64)
+    del split, c, work  # free the complement before the result exists
+    # Structural rows: [I | B] minus B's entries at the complement's pivot
+    # columns times the complement's rows.
+    free = np.delete(np.arange(ncols.size), cpiv)
+    b_free = b[:, free]
+    _sub_product(b_free, b[:, cpiv], red[:, free], p)
+    # Rows go in pivot order: merge the two increasing pivot lists.
+    ccols = ncols[cpiv]
+    at_l = np.arange(lcols.size) + np.searchsorted(ccols, lcols)
+    at_c = np.arange(ccols.size) + np.searchsorted(lcols, ccols)
+    pivots = np.empty(lcols.size + ccols.size, dtype=np.intp)
+    pivots[at_l], pivots[at_c] = lcols, ccols
+    out = np.zeros((m, n), dtype=np.int64)
+    out[at_l, lcols] = 1
+    out[np.ix_(at_l, ncols[free])] = b_free
+    out[np.ix_(at_c, ncols)] = red
+    return out, pivots.tolist()
 
 
 def _fp_kernel(arr: np.ndarray, p: int) -> np.ndarray:
@@ -297,7 +467,7 @@ class Matrix:
                 i, j, x = zip(*entries)
                 vals = [field.coerce(v) for v in x]
                 np.add.at(arr, (np.array(i, dtype=np.intp), np.array(j, dtype=np.intp)), vals)
-            return Matrix(field, arr % field.modulus, None, (rows, cols))
+            return Matrix(field, np.remainder(arr, field.modulus, out=arr), None, (rows, cols))
         data = [[Fraction(0)] * cols for _ in range(rows)]
         for i, j, x in entries:
             data[i][j] += field.coerce(x)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ivhs import linalg
 from ivhs.errors import PreconditionError
 from ivhs.fields import QQ, FieldSpec, default_prime_field
 from ivhs.linalg import (
@@ -350,3 +351,159 @@ def test_from_entries_sums_repeated_positions(field):
     want = Matrix.from_rows(field, [[0, 7, 0], [-1, 0, Fraction(1, 2)]])
     assert m == want
     assert Matrix.from_entries(field, 2, 2, []) == Matrix.zeros(field, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# structural-pivot stage of the F_p core
+# ---------------------------------------------------------------------------
+
+
+def _scaled_permutation(rng, p):
+    # Every row is structural and no row needs another: one level, B = 0.
+    a = np.zeros((10, 14), dtype=np.int64)
+    a[np.arange(10), rng.permutation(14)[:10]] = rng.integers(1, p, size=10)
+    return a
+
+
+def _macaulay(rng, p, gens=3, terms=3, width=6, cols=40, dependent=12):
+    # Shifts of sparse generators, as in a Macaulay matrix: the shifts of one
+    # generator lead distinct columns, other generators repeat those leads.
+    # Like the syzygies of a Jacobian ideal, some rows are combinations of
+    # two others, so the Schur complement is rank deficient.
+    rows = []
+    for _ in range(gens):
+        g = np.zeros(width, dtype=np.int64)
+        g[0] = rng.integers(1, p)
+        g[rng.choice(np.arange(1, width), size=terms - 1, replace=False)] = rng.integers(1, p, size=terms - 1)
+        for s in range(cols - width + 1):
+            row = np.zeros(cols, dtype=np.int64)
+            row[s : s + width] = g
+            rows.append(row)
+    for _ in range(dependent):
+        i, j = rng.choice(len(rows), size=2, replace=False)
+        c = rng.integers(1, p, size=2).astype(object)
+        rows.append(((c[0] * rows[i].astype(object) + c[1] * rows[j].astype(object)) % p).astype(np.int64))
+    return np.array(rows)[rng.permutation(len(rows))]
+
+
+def _bidiagonal_chain(rng, p, k=9, extra=5):
+    # Row i is nonzero at the lead of row i + 1: k dependency levels.  Dense
+    # trailing columns make B nonzero, and combinations of the chain rows
+    # (which repeat its leads) give a Schur complement of zero rows.
+    a = np.zeros((k, k + extra), dtype=np.int64)
+    a[np.arange(k), np.arange(k)] = rng.integers(1, p, size=k)
+    a[np.arange(k - 1), np.arange(1, k)] = rng.integers(1, p, size=k - 1)
+    a[:, k:] = rng.integers(0, p, size=(k, extra))
+    mix = rng.integers(0, p, size=(3, k)).astype(object) @ a.astype(object) % p
+    return np.vstack([a, mix.astype(np.int64)])
+
+
+def _dense(rng, p):
+    # Every row leads column 0: one structural pivot, the dense core alone.
+    return rng.integers(1, p, size=(12, 9))
+
+
+def _repeated_leads(rng, p):
+    # Eight rows share four leads, and two rows are multiples of others.
+    a = rng.integers(0, p, size=(10, 12)) * (rng.random((10, 12)) < 0.4)
+    for i, lead in enumerate([1, 1, 3, 3, 4, 4, 8, 8]):
+        a[i, :lead] = 0
+        a[i, lead] = rng.integers(1, p)
+    a[8] = a[0] * 5 % p
+    a[9] = (a[2] + a[5]) % p
+    return a[rng.permutation(10)]
+
+
+def _zero_rows_and_cols(rng, p):
+    a = _macaulay(rng, p, gens=2, width=5, cols=16)
+    a = np.insert(a, [0, 3, 3, len(a)], 0, axis=0)
+    return np.insert(a, [0, 7, 16], 0, axis=1)
+
+
+_STRUCTURAL_INPUTS = {
+    "scaled_permutation": _scaled_permutation,
+    "macaulay": _macaulay,
+    "bidiagonal_chain": _bidiagonal_chain,
+    "dense": _dense,
+    "repeated_leads": _repeated_leads,
+    "zero_rows_and_cols": _zero_rows_and_cols,
+}
+
+
+def _structural_pivots(a):
+    nz = a != 0
+    return np.unique(nz.argmax(axis=1)[nz.any(axis=1)]).size
+
+
+def _assert_agrees_with_oracle(field, arr):
+    p = field.modulus
+    mat = Matrix.from_array(field, arr)
+    rows = arr.tolist()
+    oracle_ref, oracle_piv = naive_rref_mod(rows, p) if rows else ([], [])
+    assert mat.rank() == (naive_rank_mod(rows, p) if rows else 0) == len(oracle_piv)
+    ref, pivots = mat.rref()
+    assert list(pivots) == oracle_piv
+    assert ref.to_rows() == oracle_ref
+    ker = mat.kernel_basis()
+    assert ker.shape == (arr.shape[1], arr.shape[1] - len(oracle_piv))
+    if rows:
+        assert ker.transpose().to_rows() == naive_kernel_mod(rows, p)
+
+
+# The float64 core with panel 128, the largest float64 prime, and the int64
+# core with panel 1, where every product of the stage takes the int64 path.
+@pytest.mark.parametrize("p", [10007, 8388593, 2147483629])
+@pytest.mark.parametrize("kind", sorted(_STRUCTURAL_INPUTS))
+def test_structural_stage_agrees_with_oracle(kind, p):
+    field = FieldSpec.prime(p)
+    for trial in range(3):
+        arr = _STRUCTURAL_INPUTS[kind](np.random.default_rng((trial, p % 1000)), p)
+        k = _structural_pivots(arr)
+        assert (k == 1) if kind == "dense" else (k >= linalg._STRUCTURAL_MIN)
+        _assert_agrees_with_oracle(field, arr)
+
+
+@pytest.mark.parametrize("p", [10007, 8388593, 2147483629])
+def test_structural_stage_on_empty_shapes(p):
+    field = FieldSpec.prime(p)
+    for shape in ((0, 0), (0, 5), (5, 0)):
+        _assert_agrees_with_oracle(field, np.zeros(shape, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", [10007, 2147483629])
+def test_structural_stage_sparse_products_in_small_chunks(p, monkeypatch):
+    # Shifts of a two-term generator plus combinations of two shifts: the
+    # Schur complement is zero, and its product is sparse enough to be
+    # applied entry by entry.  With chunks of 5 entries every row's terms
+    # are split; the result must match the dense core alone.
+    field = FieldSpec.prime(p)
+    arr = _macaulay(np.random.default_rng(p % 1000), p, gens=1, terms=2, width=8, cols=300, dependent=60)
+    mat = Matrix.from_array(field, arr)
+    stage_min = linalg._STRUCTURAL_MIN
+    monkeypatch.setattr(linalg, "_STRUCTURAL_MIN", arr.shape[0] + 1)
+    dense = (mat.rref(), mat.rank(), mat.kernel_basis())
+    monkeypatch.setattr(linalg, "_STRUCTURAL_MIN", stage_min)
+    monkeypatch.setattr(linalg, "_ENTRY_CHUNK", 5)
+    assert (mat.rref(), mat.rank(), mat.kernel_basis()) == dense
+
+
+@pytest.mark.parametrize("p", [10007, 2147483629])
+def test_structural_stage_keeps_the_first_row_per_lead(p):
+    a = np.array(
+        [
+            [0, 2, 4, 0, 6, 0],  # leads column 1 first: structural
+            [3, 0, 0, 5, 0, 1],  # leads 0; needs the rows leading 3 and 5
+            [0, 1, 0, 0, 0, 0],  # leads 1 again: goes to the complement
+            [0, 0, 0, 1, 2, 0],
+            [0, 0, 0, 0, 0, 7],
+            [0, 0, 0, 0, 0, 0],
+        ],
+        dtype=np.int64,
+    )
+    lcols, ncols, b, c = linalg._structural_stage(a, p)
+    assert lcols.tolist() == [0, 1, 3, 5] and ncols.tolist() == [2, 4]
+    # [I | B] on (L, N).  Row 0 is halved; row 1 loses 5 * (row 3) and
+    # 1 * (row 4), then is divided by 3.
+    assert b.tolist() == [[0, -10 * pow(3, p - 2, p) % p], [2, 3], [0, 2], [0, 0]]
+    # Row 2 minus 1 * (halved row 0), on N.
+    assert c.tolist() == [[p - 2, p - 3]]
