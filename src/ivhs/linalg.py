@@ -22,8 +22,9 @@ stage's products are exact too: each goes through ``_fp_matmul``, whose
 float64 path needs inner * (p-1)^2 + p < 2^53 and whose int64 path splits
 the inner dimension below 2^62, or applies the entries of a sparse factor
 one at a time, reducing every product mod p before a row's terms are
-summed in int64.  With fewer than ``_STRUCTURAL_MIN`` structural pivots
-the whole matrix goes to the core.
+summed in int64, whichever costs less by ``_macs_per_entry``.  With fewer
+than ``_STRUCTURAL_MIN`` structural pivots the whole matrix goes to the
+core.
 """
 
 from __future__ import annotations
@@ -40,9 +41,13 @@ from .fields import FieldSpec, Scalar
 _FLOAT_PANEL = 128
 _FLOAT_SAFE = 2**53
 _INT_SAFE = 2**62
-# With fewer structural pivots the stage saves less than it costs, and the
-# whole matrix goes to the dense core.
-_STRUCTURAL_MIN = 4
+# With fewer structural pivots the whole matrix goes to the dense core.  Each
+# structural pivot saves one pivot step of the core, and the stage itself
+# costs a few such steps in numpy calls.  On the eliminations of the four
+# benchmark workloads the stage was slower in 62 of 65 calls with 1-4
+# structural pivots, even with 5 (totals within 3%) and faster in 58 of 59
+# with 9 or more.
+_STRUCTURAL_MIN = 5
 # Most entries a sparse product holds at once.
 _ENTRY_CHUNK = 2**22
 
@@ -204,25 +209,33 @@ def _dense_rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def _sub_product(x: np.ndarray, f: np.ndarray, y: np.ndarray, p: int) -> None:
-    """x = (x - f @ y) mod p in place, for int64 arrays with entries in [0, p).
+def _macs_per_entry(p: int, inner: int) -> int:
+    """Multiply-adds of ``_fp_matmul`` that cost as much as one entry applied alone.
 
-    As in ``_update``, only the rows of f, the inner indices and the columns
-    of y that hold a nonzero enter the product; ``_fp_matmul`` keeps it exact.
+    ``_sub_entries`` multiplies a dense block when the entries fill at least
+    the inverse of this.  An entry applied on its own costs about 40 ns per
+    column of y (a gather, a product, a reduction and a row sum); a
+    multiply-add of ``_fp_matmul`` costs about 0.1 ns on its float64 (BLAS)
+    path, 2 ns on its int64 path and 10 ns or more when that path splits the
+    inner dimension (one BLAS thread, x86-64).  On sparse factors with 512
+    rows and inner indices and on the sextic's Schur products the two
+    branches cross near fill 1/256-1/400, 1/16 and 1/3; the values are
+    rounded down to a power of two, leaning to the entry-by-entry branch,
+    which holds less memory.
     """
-    rows = f.any(axis=1).nonzero()[0]
-    inner = (f.any(axis=0) & y.any(axis=1)).nonzero()[0]
-    cols = y.any(axis=0).nonzero()[0]
-    if rows.size and inner.size and cols.size:
-        ix = np.ix_(rows, cols)
-        x[ix] = (x[ix] - _fp_matmul(f[np.ix_(rows, inner)], y[np.ix_(inner, cols)], p)) % p
+    bound = inner * (p - 1) ** 2
+    if bound + p < _FLOAT_SAFE:
+        return 256
+    return 16 if bound < _INT_SAFE else 2
 
 
 def _sub_entries(x: np.ndarray, i: np.ndarray, j: np.ndarray, v: np.ndarray, y: np.ndarray, p: int) -> None:
-    """``_sub_product`` for f given by its nonzero entries (i, j, v), sorted by i.
+    """x = (x - f @ y) mod p in place, for f given by its nonzero entries (i, j, v),
+    sorted by i, and int64 x and y with entries in [0, p).
 
-    Entries that fill at least 1/32 of the block of rows and inner indices
-    they touch are scattered into that block, which is multiplied densely.
+    Entries that fill at least 1/``_macs_per_entry`` of the block of rows and
+    inner indices they touch are scattered into that block, which is
+    multiplied densely: that costs no more than applying them one by one.
     Sparser ones are applied one by one, x[i] -= v * y[j], skipping those
     that meet a zero row of y: each product is reduced mod p before a row's
     terms are summed, so int64 holds every sum, and at most
@@ -230,7 +243,7 @@ def _sub_entries(x: np.ndarray, i: np.ndarray, j: np.ndarray, v: np.ndarray, y: 
     """
     rows = np.bincount(i, minlength=x.shape[0]).nonzero()[0]
     inner = np.bincount(j, minlength=y.shape[0]).nonzero()[0]
-    if 32 * i.size >= rows.size * inner.size:
+    if i.size * _macs_per_entry(p, inner.size) >= rows.size * inner.size:
         f = np.zeros((rows.size, inner.size), dtype=np.int64)
         f[np.searchsorted(rows, i), np.searchsorted(inner, j)] = v
         x[rows] = (x[rows] - _fp_matmul(f, y[inner], p)) % p
@@ -264,16 +277,16 @@ def _levels(dep: np.ndarray):
         level = (waiting == 0).nonzero()[0]
 
 
-def _structural_stage(a: np.ndarray, p: int) -> np.ndarray | tuple[np.ndarray, ...]:
+def _structural_stage(a: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
     """Split off the structural pivots of ``a`` (int64, entries in [0, p)).
 
     A row's lead is its first nonzero column; the first row to lead a column
-    is that column's structural row.  With fewer than ``_STRUCTURAL_MIN``
-    structural rows this returns the nonzero rows of ``a``, for the dense
-    core.  Otherwise it returns the tuple (L, N, B, C): the lead columns,
-    the other columns, the structural rows reduced to [I | B] on (L, N),
-    and the Schur complement C on N of the other nonzero rows, without its
-    zero rows.
+    is that column's structural row.  Returns (L, N, B, C): the lead
+    columns, the other columns, the structural rows reduced to [I | B] on
+    (L, N), and the Schur complement C on N of the other nonzero rows,
+    without its zero rows.  With fewer than ``_STRUCTURAL_MIN`` structural
+    rows the split is the degenerate one: L and B are empty, N is every
+    column and C is the nonzero rows of ``a``, for the dense core.
     """
     m, n = a.shape
     nz = a != 0
@@ -283,7 +296,8 @@ def _structural_stage(a: np.ndarray, p: int) -> np.ndarray | tuple[np.ndarray, .
     np.minimum.at(first, lead[live], live)
     lcols = (first < m).nonzero()[0]
     if lcols.size < _STRUCTURAL_MIN:
-        return a if live.size == m else a[live]
+        c = a if live.size == m else a[live]
+        return lcols[:0], np.arange(n), np.zeros((0, n), dtype=np.int64), c
     srows = first[lcols]
     ncols = (first == m).nonzero()[0]
     # Structural row i needs row j when it is nonzero at j's lead, which lies
@@ -311,10 +325,7 @@ def _structural_stage(a: np.ndarray, p: int) -> np.ndarray | tuple[np.ndarray, .
 def _fp_rank(arr: np.ndarray, p: int) -> int:
     if arr.size == 0:
         return 0
-    split = _structural_stage(arr, p)
-    if not isinstance(split, tuple):
-        return _dense_rank(split, p)
-    lcols, _, _, c = split
+    lcols, _, _, c = _structural_stage(arr, p)
     return lcols.size + _dense_rank(c, p)
 
 
@@ -329,21 +340,21 @@ def _fp_rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     m, n = arr.shape
     if arr.size == 0:
         return np.zeros((m, n), dtype=np.int64), []
-    split = _structural_stage(arr, p)
-    if not isinstance(split, tuple):
-        work, pivots = _dense_rref(split, p)
-        out = np.zeros((m, n), dtype=np.int64)
-        out[: len(pivots)] = work[: len(pivots)]
-        return out, pivots
-    lcols, ncols, b, c = split
+    lcols, ncols, b, c = _structural_stage(arr, p)
     work, cpiv = _dense_rref(c, p)
-    red = work[: len(cpiv)].astype(np.int64)
-    del split, c, work  # free the complement before the result exists
-    # Structural rows: [I | B] minus B's entries at the complement's pivot
-    # columns times the complement's rows.
+    # Free the complement, and on the structural path its elimination copy
+    # (at the astype below), before the result exists.
+    red = work[: len(cpiv)]
+    del c, work
     free = np.delete(np.arange(ncols.size), cpiv)
     b_free = b[:, free]
-    _sub_product(b_free, b[:, cpiv], red[:, free], p)
+    if lcols.size:
+        # Structural rows: [I | B] minus B's entries at the complement's
+        # pivot columns times the complement's rows.
+        red = red.astype(np.int64)
+        f = b[:, cpiv]
+        fi, fj = np.nonzero(f)
+        _sub_entries(b_free, fi, fj, f[fi, fj], red[:, free], p)
     # Rows go in pivot order: merge the two increasing pivot lists.
     ccols = ncols[cpiv]
     at_l = np.arange(lcols.size) + np.searchsorted(ccols, lcols)

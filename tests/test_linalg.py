@@ -404,14 +404,14 @@ def _dense(rng, p):
 
 
 def _repeated_leads(rng, p):
-    # Eight rows share four leads, and two rows are multiples of others.
-    a = rng.integers(0, p, size=(10, 12)) * (rng.random((10, 12)) < 0.4)
-    for i, lead in enumerate([1, 1, 3, 3, 4, 4, 8, 8]):
+    # Ten rows share five leads, and two rows are combinations of others.
+    a = rng.integers(0, p, size=(12, 12)) * (rng.random((12, 12)) < 0.4)
+    for i, lead in enumerate([1, 1, 3, 3, 4, 4, 8, 8, 10, 10]):
         a[i, :lead] = 0
         a[i, lead] = rng.integers(1, p)
-    a[8] = a[0] * 5 % p
-    a[9] = (a[2] + a[5]) % p
-    return a[rng.permutation(10)]
+    a[10] = a[0] * 5 % p
+    a[11] = (a[2] + a[5]) % p
+    return a[rng.permutation(12)]
 
 
 def _zero_rows_and_cols(rng, p):
@@ -471,11 +471,12 @@ def test_structural_stage_on_empty_shapes(p):
 
 
 @pytest.mark.parametrize("p", [10007, 2147483629])
-def test_structural_stage_sparse_products_in_small_chunks(p, monkeypatch):
+@pytest.mark.parametrize("branch", ["entries", "block"])
+def test_structural_stage_sparse_product_branches(branch, p, monkeypatch):
     # Shifts of a two-term generator plus combinations of two shifts: the
-    # Schur complement is zero, and its product is sparse enough to be
-    # applied entry by entry.  With chunks of 5 entries every row's terms
-    # are split; the result must match the dense core alone.
+    # Schur complement is zero.  Every product of the stage takes one branch
+    # of _sub_entries; the entry-by-entry one runs in chunks of 5 entries, so
+    # every row's terms are split.  The result must match the dense core alone.
     field = FieldSpec.prime(p)
     arr = _macaulay(np.random.default_rng(p % 1000), p, gens=1, terms=2, width=8, cols=300, dependent=60)
     mat = Matrix.from_array(field, arr)
@@ -484,6 +485,7 @@ def test_structural_stage_sparse_products_in_small_chunks(p, monkeypatch):
     dense = (mat.rref(), mat.rank(), mat.kernel_basis())
     monkeypatch.setattr(linalg, "_STRUCTURAL_MIN", stage_min)
     monkeypatch.setattr(linalg, "_ENTRY_CHUNK", 5)
+    monkeypatch.setattr(linalg, "_macs_per_entry", lambda p, inner: 0 if branch == "entries" else 1 << 62)
     assert (mat.rref(), mat.rank(), mat.kernel_basis()) == dense
 
 
@@ -491,19 +493,20 @@ def test_structural_stage_sparse_products_in_small_chunks(p, monkeypatch):
 def test_structural_stage_keeps_the_first_row_per_lead(p):
     a = np.array(
         [
-            [0, 2, 4, 0, 6, 0],  # leads column 1 first: structural
-            [3, 0, 0, 5, 0, 1],  # leads 0; needs the rows leading 3 and 5
-            [0, 1, 0, 0, 0, 0],  # leads 1 again: goes to the complement
-            [0, 0, 0, 1, 2, 0],
-            [0, 0, 0, 0, 0, 7],
-            [0, 0, 0, 0, 0, 0],
+            [0, 2, 4, 0, 6, 0, 0],  # leads column 1 first: structural
+            [3, 0, 0, 5, 0, 1, 0],  # leads 0; needs the rows leading 3 and 5
+            [0, 1, 0, 0, 0, 0, 0],  # leads 1 again: goes to the complement
+            [0, 0, 0, 1, 2, 0, 0],
+            [0, 0, 0, 0, 0, 7, 0],
+            [0, 0, 0, 0, 0, 0, 3],
+            [0, 0, 0, 0, 0, 0, 0],
         ],
         dtype=np.int64,
     )
     lcols, ncols, b, c = linalg._structural_stage(a, p)
-    assert lcols.tolist() == [0, 1, 3, 5] and ncols.tolist() == [2, 4]
+    assert lcols.tolist() == [0, 1, 3, 5, 6] and ncols.tolist() == [2, 4]
     # [I | B] on (L, N).  Row 0 is halved; row 1 loses 5 * (row 3) and
     # 1 * (row 4), then is divided by 3.
-    assert b.tolist() == [[0, -10 * pow(3, p - 2, p) % p], [2, 3], [0, 2], [0, 0]]
+    assert b.tolist() == [[0, -10 * pow(3, p - 2, p) % p], [2, 3], [0, 2], [0, 0], [0, 0]]
     # Row 2 minus 1 * (halved row 0), on N.
     assert c.tolist() == [[p - 2, p - 3]]
