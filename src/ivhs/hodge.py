@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .errors import PreconditionError
 from .fields import FieldSpec
-from .linalg import Matrix, Subspace, standard_complement
+from .linalg import Matrix, Subspace
 
 Blocks = dict[tuple[int, int], Matrix]
 
@@ -415,7 +415,12 @@ class ChartData:
         h1, h0 = self.shape.slot_shape(0)
         if self.e0.ambient_dimension != h1 * h0:
             raise PreconditionError("chart base lives in the wrong Hom space")
-        if self.w != standard_complement(self.e0):
+        # W is in RREF: pivots at E0's free columns and zeros at E0's pivot
+        # columns make its rows the unit rows of standard_complement(E0).
+        on_e0 = set(self.e0.pivots)
+        free = tuple(j for j in range(h1 * h0) if j not in on_e0)
+        w = self.w
+        if (w.ambient_dimension, w.pivots) != (h1 * h0, free) or not w.basis.col_select(self.e0.pivots).is_zero():
             raise PreconditionError("W must be the coordinate complement of E0")
 
     @property

@@ -1,11 +1,13 @@
 """Graded pieces of Jacobian rings R = S / (df/dx_0, ..., df/dx_{N-1}).
 
 Each graded piece is presented by its standard monomials (non-pivot columns
-of the row-reduced ideal piece) together with the projector expressing any
-degree-m polynomial in those classes.  Monomial ideals (Fermat fixtures)
-take a combinatorial path: the ideal piece is spanned by distinct monomials,
-so ranks are set counts and projectors are selection matrices.  Everything
-else goes through exact dense elimination, guarded by the entry budget.
+of the row-reduced ideal piece) and its normal form: an index from each
+ambient monomial to its class and, for dense pieces, the reduced pivot block
+(``linalg.normal_form``), read only by ``GradedQuotientPiece.classes``.
+Monomial ideals (Fermat fixtures) take a combinatorial path: the ideal piece
+is spanned by distinct monomials, so ranks are set counts and pivot
+monomials have class zero.  Everything else goes through exact dense
+elimination, guarded by the entry budget.
 
 A smooth hypersurface of degree d in P^{n+1} has one-dimensional socle in
 degree sigma = (n+2)(d-2) and zero beyond; socle_check tests exactly that.
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError, check_dense_budget
 from .fields import FieldSpec, Scalar, default_prime_field
-from .linalg import Matrix
+from .linalg import Matrix, normal_form
 from .polyring import (
     Exponents,
     HomogeneousPoly,
@@ -48,6 +50,7 @@ class JacobianContext:
         self.generators: tuple[HomogeneousPoly, ...] = tuple(
             partial_derivative(f, i) for i in range(f.num_vars)
         )
+        self.has_monomial_ideal = all(sum(1 for _ in g.terms()) <= 1 for g in self.generators)
         self._pieces: dict[int, GradedQuotientPiece] = {}
 
     @staticmethod
@@ -68,10 +71,6 @@ class JacobianContext:
     @property
     def socle_degree(self) -> int:
         return self.num_vars * (self.d - 2)
-
-    @property
-    def has_monomial_ideal(self) -> bool:
-        return all(sum(1 for _ in g.terms()) <= 1 for g in self.generators)
 
     def piece(self, m: int, method: str = "auto") -> "GradedQuotientPiece":
         if m < 0:
@@ -125,29 +124,15 @@ class JacobianContext:
 def _piece_from_pivots(
     fld: FieldSpec, m: int, amb: MonomialBasis, pivots: Sequence[int], rref: Matrix | None
 ) -> "GradedQuotientPiece":
-    """The quotient piece of an ideal piece with the given pivot columns.
-
-    ``rref`` is the row-reduced ideal piece, or None when its pivot rows are
-    unit vectors.  Standard monomials are the non-pivot columns; the
-    projector row of standard column j is e_j minus the entries of column j
-    in the pivot rows, placed at the pivot columns.
-    """
-    piv_set = set(pivots)
-    std_cols = [j for j in range(amb.dim) if j not in piv_set]
-    std = tuple(amb.monomials[j] for j in std_cols)
-    if rref is None:
-        units = [(r, j, 1) for r, j in enumerate(std_cols)]
-        projector = Matrix.from_entries(fld, len(std_cols), amb.dim, units)
-    else:
-        reduced = rref.col_select(std_cols).row_select(range(len(pivots)))
-        # Columns come out in the order std_cols + pivots; put them back in
-        # ambient order.
-        stacked = Matrix.hstack([Matrix.identity(fld, len(std_cols)), -reduced.transpose()])
-        projector = stacked.col_select(np.argsort(std_cols + list(pivots)).tolist())
-    return GradedQuotientPiece(fld, m, amb, len(pivots), std, projector)
+    """The quotient piece of an ideal piece with the given pivot columns and
+    reduced rows ``rref`` (None: unit rows); see ``normal_form``."""
+    class_col, reduced = normal_form(fld, amb.dim, pivots, rref)
+    class_col.flags.writeable = False
+    std = tuple(amb.monomials[j] for j in np.delete(np.arange(amb.dim), list(pivots)).tolist())
+    return GradedQuotientPiece(fld, m, amb, len(pivots), std, class_col, reduced)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradedQuotientPiece:
     """Degree-m piece of the quotient ring in standard-monomial coordinates."""
 
@@ -156,25 +141,25 @@ class GradedQuotientPiece:
     ambient: MonomialBasis
     ideal_rank: int
     standard_monomials: tuple[Exponents, ...]
-    projector: Matrix  # dim x ambient.dim
-    _std_index: dict = dc_field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        self._std_index.update({e: i for i, e in enumerate(self.standard_monomials)})
+    # ``normal_form``: class of ambient monomial j = column _class_col[j] of [I | _reduced]
+    _class_col: np.ndarray = dc_field(repr=False)
+    _reduced: Matrix = dc_field(repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.standard_monomials)
 
-    def std_index(self, exponents: Exponents) -> int | None:
-        return self._std_index.get(tuple(exponents))
+    def classes(self, cols) -> Matrix:
+        """dim x len(cols): column c is the class of ambient monomial cols[c]."""
+        return self._reduced.augmented_col_select(self._class_col[np.asarray(cols, dtype=np.intp)])
 
     def project_poly(self, g: HomogeneousPoly) -> list[Scalar]:
         """Coordinates of [g] in the standard-monomial basis."""
         if g.degree != self.degree or g.num_vars != self.ambient.num_vars:
             raise PreconditionError("polynomial does not live in this piece")
-        vec = Matrix.from_rows(self.field, [list(g.coeffs)])
-        return (self.projector @ vec.transpose()).transpose().row(0)
+        support = [j for j, c in enumerate(g.coeffs) if c != 0]
+        coeffs = Matrix.from_rows(self.field, [[g.coeffs[j]] for j in support], cols=1)
+        return (self.classes(support) @ coeffs).flatten()
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +196,11 @@ def multiplication_map(ctx: JacobianContext, g: HomogeneousPoly, a: int) -> Mult
     terms = list(g.terms())
     if not terms:
         return MultiplicationMap(ctx, g, a, Matrix.zeros(ctx.field, tgt.dim, src.dim))
-    # Column u of the map is sum_t c_t * (projector column of u * x^t).
+    # Column u of the map is sum_t c_t * (class of u * x^t).
     cols = tgt.ambient.sum_index(src.standard_monomials, [t for t, _ in terms])
-    out = tgt.projector.col_select(cols[:, 0]).scale(terms[0][1])
+    out = tgt.classes(cols[:, 0]).scale(terms[0][1])
     for k in range(1, len(terms)):
-        out = out + tgt.projector.col_select(cols[:, k]).scale(terms[k][1])
+        out = out + tgt.classes(cols[:, k]).scale(terms[k][1])
     return MultiplicationMap(ctx, g, a, out)
 
 
@@ -226,9 +211,9 @@ def action_matrix(ctx: JacobianContext, a: int, b: int) -> Matrix:
     src_b = ctx.piece(b)
     tgt = ctx.piece(a + b)
     check_dense_budget(tgt.dim * src_b.dim, max(src_a.dim, 1), what="stacked multiplication action")
-    # Row i * dim R^b + u of the gather is the projector column of m_i * u.
+    # Row i * dim R^b + u of the gather is the class of m_i * u.
     cols = tgt.ambient.sum_index(src_a.standard_monomials, src_b.standard_monomials)
-    gathered = tgt.projector.transpose().row_select(cols.ravel())
+    gathered = tgt.classes(cols.ravel()).transpose()
     # Column i is the column-major vec of the (dim R^{a+b} x dim R^b) map:
     # row index u * dim R^{a+b} + r.
     return gathered.reshape(src_a.dim, src_b.dim * tgt.dim).transpose()

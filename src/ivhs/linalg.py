@@ -330,16 +330,17 @@ def _fp_rank(arr: np.ndarray, p: int) -> int:
 
 
 def _fp_rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p: unit pivots, zeros above and below.
+    """Reduced row echelon form mod p, its rank rows only: unit pivots,
+    zeros above and below.
 
     Every lead column of the structural stage is a pivot column, and the
     RREF is unique, so eliminating the Schur complement densely and then
     clearing the structural rows at its pivot columns gives the same rows
     as eliminating the whole matrix.
     """
-    m, n = arr.shape
+    n = arr.shape[1]
     if arr.size == 0:
-        return np.zeros((m, n), dtype=np.int64), []
+        return np.zeros((0, n), dtype=np.int64), []
     lcols, ncols, b, c = _structural_stage(arr, p)
     work, cpiv = _dense_rref(c, p)
     # Free the complement, and on the structural path its elimination copy
@@ -361,23 +362,11 @@ def _fp_rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     at_c = np.arange(ccols.size) + np.searchsorted(lcols, ccols)
     pivots = np.empty(lcols.size + ccols.size, dtype=np.intp)
     pivots[at_l], pivots[at_c] = lcols, ccols
-    out = np.zeros((m, n), dtype=np.int64)
+    out = np.zeros((pivots.size, n), dtype=np.int64)
     out[at_l, lcols] = 1
     out[np.ix_(at_l, ncols[free])] = b_free
     out[np.ix_(at_c, ncols)] = red
     return out, pivots.tolist()
-
-
-def _fp_kernel(arr: np.ndarray, p: int) -> np.ndarray:
-    """Columns spanning {x : arr @ x = 0 mod p}; shape (n, n - rank)."""
-    n = arr.shape[1]
-    r, pivots = _fp_rref(arr, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    k = np.zeros((n, len(free)), dtype=np.int64)
-    k[pivots] = -r[: len(pivots), free] % p
-    k[free, range(len(free))] = 1
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +375,10 @@ def _fp_kernel(arr: np.ndarray, p: int) -> np.ndarray:
 
 
 def _q_rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q, its rank rows only."""
     a = [list(row) for row in rows]
     if not a or not a[0]:
-        return a, []
+        return [], []
     nrows, ncols = len(a), len(a[0])
     pivots: list[int] = []
     r = 0
@@ -407,21 +397,7 @@ def _q_rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], l
                 a[i] = [x - fac * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
-    return a, pivots
-
-
-def _q_kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    r, pivots = _q_rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for c in free:
-        v = [Fraction(0)] * ncols
-        v[c] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i][c]
-        basis.append(v)
-    return basis  # one row per kernel vector
+    return a[:r], pivots
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +477,7 @@ class Matrix:
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
-        if field.is_prime_field:
-            return Matrix(field, np.eye(n, dtype=np.int64), None, (n, n))
-        return Matrix(
-            field,
-            None,
-            tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)),
-            (n, n),
-        )
+        return Matrix.zeros(field, n, 0).augmented_col_select(range(n))
 
     # -- basic accessors ----------------------------------------------------
 
@@ -564,6 +533,26 @@ class Matrix:
             return Matrix(self.field, picked, None, picked.shape)
         data = tuple(tuple(row[j] for j in indices) for row in self._q)
         return Matrix(self.field, None, data, (self.rows, len(indices)))
+
+    def augmented_col_select(self, indices: Sequence[int]) -> "Matrix":
+        """Columns ``indices`` of [I | self], I the rows x rows identity, which
+        is never built: index j < rows picks the unit column e_j, j >= rows
+        picks column j - rows of self, and a negative index a zero column."""
+        idx = np.asarray(indices, dtype=np.intp)
+        n = self.rows
+        if self._fp is not None:
+            out = np.zeros((n, idx.size), dtype=np.int64)
+            right = (idx >= n).nonzero()[0]
+            out[:, right] = self._fp[:, idx[right] - n]
+            unit = ((0 <= idx) & (idx < n)).nonzero()[0]
+            out[idx[unit], unit] = 1
+            return Matrix(self.field, out, None, out.shape)
+        zero, one = Fraction(0), Fraction(1)
+        data = tuple(
+            tuple(one if j == i else self._q[i][j - n] if j >= n else zero for j in idx.tolist())
+            for i in range(n)
+        )
+        return Matrix(self.field, None, data, (n, idx.size))
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
         """The same entries, read in row-major order, regrouped into rows x cols."""
@@ -664,23 +653,23 @@ class Matrix:
         return len(_q_rref(self._q)[1])
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and its pivot columns."""
+        """Reduced row echelon form without its zero rows, and its pivot
+        columns: row i has its leading 1 at pivots[i]."""
         if self._fp is not None:
             r, pivots = _fp_rref(self._fp, self.field.modulus)
-            return Matrix(self.field, r, None, self.shape), tuple(pivots)
+            return Matrix(self.field, r, None, r.shape), tuple(pivots)
         r, pivots = _q_rref(self._q)
-        return Matrix(self.field, None, tuple(tuple(row) for row in r), self.shape), tuple(pivots)
+        return Matrix(self.field, None, tuple(tuple(row) for row in r), (len(r), self.cols)), tuple(pivots)
 
     def kernel_basis(self) -> "Matrix":
-        """Matrix whose columns span the right kernel; cols == cols - rank."""
-        if self._fp is not None:
-            k = _fp_kernel(self._fp, self.field.modulus)
-            return Matrix(self.field, k, None, k.shape)
-        basis = _q_kernel(self._q, self.cols)
-        if not basis:
-            return Matrix.zeros(self.field, self.cols, 0)
-        cols = tuple(tuple(v[i] for v in basis) for i in range(self.cols))
-        return Matrix(self.field, None, cols, (self.cols, len(basis)))
+        """Matrix whose columns span the right kernel; cols == cols - rank.
+
+        Its transpose is the quotient map onto F^cols / rowspace in the
+        coordinates of the non-pivot columns (``normal_form``).
+        """
+        r, pivots = self.rref()
+        at, reduced = normal_form(self.field, self.cols, pivots, r)
+        return reduced.augmented_col_select(at).transpose()
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -786,8 +775,7 @@ class Subspace:
         r, pivots = mat.rref()
         if not pivots:
             return Subspace(field, ambient, Matrix.zeros(field, 0, ambient), ())
-        nz = r.row_select(range(len(pivots)))
-        return Subspace(field, ambient, nz, pivots)
+        return Subspace(field, ambient, r, pivots)
 
     @property
     def dim(self) -> int:
@@ -812,10 +800,27 @@ class Subspace:
         )
 
 
+def normal_form(field: FieldSpec, n: int, pivots: Sequence[int], rref: Matrix | None) -> tuple[np.ndarray, Matrix]:
+    """F^n / rowspace(rref) in non-pivot coordinates, as (at, reduced): the
+    class of e_j is column at[j] of [I | reduced], or zero where at[j] is -1.
+
+    ``rref`` is the rank rows of an RREF with these pivots, or None for unit
+    rows; the class of the k-th pivot is minus row k at the other columns.
+    """
+    pivots = np.asarray(pivots, dtype=np.intp)
+    free = np.delete(np.arange(n), pivots)
+    at = np.full(n, -1, dtype=np.intp)
+    at[free] = np.arange(free.size)
+    if rref is None:
+        return at, Matrix.zeros(field, free.size, 0)
+    at[pivots] = free.size + np.arange(pivots.size)
+    return at, (-rref.col_select(free)).transpose()
+
+
 def standard_complement(space: Subspace) -> Subspace:
     """Coordinate complement spanned by the non-pivot unit vectors."""
-    pivots = set(space.pivots)
-    free = tuple(j for j in range(space.ambient_dimension) if j not in pivots)
+    n = space.ambient_dimension
+    free = np.delete(np.arange(n), np.asarray(space.pivots, dtype=np.intp))
     # Unit rows in increasing column order are already in RREF.
-    units = Matrix.identity(space.field, space.ambient_dimension).row_select(free)
-    return Subspace(space.field, space.ambient_dimension, units, free)
+    units = Matrix.zeros(space.field, n, 0).augmented_col_select(free).transpose()
+    return Subspace(space.field, n, units, tuple(free.tolist()))

@@ -229,7 +229,7 @@ def _pairing_matrix(ctx: JacobianContext, a: int, b: int) -> Matrix:
     rows_basis = ctx.piece(a).standard_monomials
     cols_basis = ctx.piece(b).standard_monomials
     cols = sp.ambient.sum_index(rows_basis, cols_basis)
-    return sp.projector.col_select(cols.ravel()).reshape(len(rows_basis), len(cols_basis))
+    return sp.classes(cols.ravel()).reshape(len(rows_basis), len(cols_basis))
 
 
 def ring_frame_candidate(
@@ -475,11 +475,11 @@ def canonical_symmetrizer_check(
 
     def multiplication_by_basis(src: int):
         # The matrix of g -> multiplication_map(ctx, g, src) for the idx-th
-        # standard monomial g of R^d: column u is the projector column of
-        # u * g, so one index table serves every g.
+        # standard monomial g of R^d: column u is the class of u * g, so one
+        # index table serves every g.
         tgt = ctx.piece(src + d)
         cols = tgt.ambient.sum_index(ctx.piece(src).standard_monomials, basis_e)
-        return lambda idx: tgt.projector.col_select(cols[:, idx])
+        return lambda idx: tgt.classes(cols[:, idx])
 
     alpha_of = multiplication_by_basis(a) if a >= 0 else lambda idx: Matrix.zeros(ctx.field, dim_b, 0)
     q_of = multiplication_by_basis(b)

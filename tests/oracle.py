@@ -86,32 +86,39 @@ def naive_kernel_mod(rows, p):
     return basis
 
 
-def naive_rank_fraction(rows):
-    """Rank over Q with Fraction arithmetic."""
+def naive_rref_fraction(rows):
+    """(rref, pivot columns) over Q with Fraction arithmetic, textbook version."""
     m = [[Fraction(x) for x in row] for row in rows]
     if not m:
-        return 0
+        return m, []
     nrows, ncols = len(m), len(m[0])
-    rank = 0
+    pivots = []
+    r = 0
     for c in range(ncols):
+        if r >= nrows:
+            break
         piv = None
-        for i in range(rank, nrows):
+        for i in range(r, nrows):
             if m[i][c] != 0:
                 piv = i
                 break
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
+        m[r], m[piv] = m[piv], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
         for i in range(nrows):
-            if i != rank and m[i][c] != 0:
+            if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def naive_rank_fraction(rows):
+    """Rank over Q with Fraction arithmetic."""
+    return len(naive_rref_fraction(rows)[1])
 
 
 def naive_poly_mul(terms_a: dict, terms_b: dict, p: int | None) -> dict:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ivhs.errors import BudgetExceededError, PreconditionError
-from ivhs.fields import QQ, default_prime_field
+from ivhs.fields import QQ, FieldSpec, default_prime_field
 from ivhs.jacobian import (
     JacobianContext,
     action_matrix,
@@ -21,7 +21,7 @@ from ivhs.jacobian import (
 from ivhs.linalg import Matrix
 from ivhs.polyring import HomogeneousPoly, basis, graded_dimension, multiply, parse_poly
 
-from oracle import naive_rank_mod
+from oracle import naive_rank_mod, naive_rref_fraction
 
 FP = default_prime_field()
 P = FP.modulus
@@ -32,19 +32,22 @@ def sextic():
     return JacobianContext.fermat(3, 6)
 
 
-def _ideal_rows(ctx, m):
-    """Rows spanning the degree-m ideal piece, assembled independently."""
+def _ideal_terms(ctx, m):
+    """Rows spanning the degree-m ideal piece (generator x monomial) as
+    {ambient column: coefficient}, assembled independently."""
     amb = basis(ctx.num_vars, m)
     src = basis(ctx.num_vars, m - (ctx.d - 1))
-    rows = []
-    for g in ctx.generators:
-        for a in src.monomials:
-            row = [0] * amb.dim
-            for t, c in g.terms():
-                e = tuple(x + y for x, y in zip(a, t))
-                row[amb.index(e)] = int(c) % P
-            rows.append(row)
-    return rows
+    return [
+        {amb.index(tuple(x + y for x, y in zip(a, t))): c for t, c in g.terms()}
+        for g in ctx.generators
+        for a in src.monomials
+    ]
+
+
+def _ideal_rows(ctx, m):
+    """The rows of ``_ideal_terms`` as dense lists."""
+    width = graded_dimension(ctx.num_vars, m)
+    return [[row.get(j, 0) for j in range(width)] for row in _ideal_terms(ctx, m)]
 
 
 def test_fermat_sextic_ideal_ranks(sextic):
@@ -73,7 +76,8 @@ def test_monomial_and_dense_paths_agree(sextic):
         pd = sextic.piece(m, method="dense")
         assert pm.ideal_rank == pd.ideal_rank
         assert pm.standard_monomials == pd.standard_monomials
-        assert pm.projector == pd.projector
+        every = range(pm.ambient.dim)
+        assert pm.classes(every) == pd.classes(every)
 
 
 def test_fermat_sextic_quotient_dimensions(sextic):
@@ -89,10 +93,55 @@ def test_piece_caching(sextic):
 
 
 def test_projector_fixes_standard_monomials(sextic):
+    # Over every ambient column: standard monomials map to their unit
+    # vectors, and on a monomial ideal every other monomial to zero.
     piece = sextic.piece(6)
     std_cols = [piece.ambient.index(e) for e in piece.standard_monomials]
-    sel = piece.projector.array[:, std_cols]
-    assert np.array_equal(sel, np.eye(piece.dim, dtype=np.int64))
+    expected = np.zeros((piece.dim, piece.ambient.dim), dtype=np.int64)
+    expected[range(piece.dim), std_cols] = 1
+    assert np.array_equal(piece.classes(range(piece.ambient.dim)).array, expected)
+
+
+NORMAL_FORM_FIXTURES = {
+    "fermat(3,5)": lambda fld: JacobianContext.fermat(3, 5, field=fld),
+    "cubic-surface": lambda fld: JacobianContext(parse_poly("x0^3+x1^3+x2^3+x3^3+x0*x1*x2", fld, num_vars=4)),
+    "quartic-surface": lambda fld: JacobianContext(
+        parse_poly("x0^4+x1^4+x2^4+x3^4+3*x0^2*x1*x3+x1*x2^3", fld, num_vars=4)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "field", [FieldSpec.prime(10007), FieldSpec.prime(2147483629), QQ], ids=["p10007", "p2147483629", "QQ"]
+)
+@pytest.mark.parametrize("name", list(NORMAL_FORM_FIXTURES))
+def test_normal_form_fixes_standard_and_kills_ideal(name, field):
+    # Every degree with an ideal part up to one past the socle: the classes
+    # of the standard columns form the identity, and every ideal row
+    # (generator x monomial) has class zero.  Over Q the classes of all
+    # ambient columns must match a Fraction elimination of the ideal rows,
+    # which is slow beyond degree d + 2.
+    ctx = NORMAL_FORM_FIXTURES[name](field)
+    top = ctx.d + 2 if field == QQ else ctx.socle_degree + 1
+    for m in range(ctx.d - 1, top + 1):
+        piece = ctx.piece(m)
+        amb = piece.ambient
+        std_cols = [amb.index(e) for e in piece.standard_monomials]
+        assert piece.classes(std_cols) == Matrix.identity(field, piece.dim)
+        # Row j: the class of ambient monomial j.
+        classes = np.array(piece.classes(range(amb.dim)).transpose().to_rows(), dtype=object)
+        classes = classes.reshape(amb.dim, piece.dim)
+        for row in _ideal_terms(ctx, m):
+            image = sum(c * classes[j] for j, c in row.items())
+            assert all(field.coerce(x) == 0 for x in image), m
+        if field == QQ:
+            ref, pivots = naive_rref_fraction(_ideal_rows(ctx, m))
+            assert [j for j in range(amb.dim) if j not in pivots] == std_cols
+            expected = np.zeros((amb.dim, piece.dim), dtype=object)
+            expected[std_cols, range(piece.dim)] = 1
+            for k, j in enumerate(pivots):
+                expected[j] = [-ref[k][s] for s in std_cols]
+            assert (classes == expected).all(), m
 
 
 def test_projector_kills_ideal_monomials(sextic):

@@ -26,6 +26,13 @@ FP = default_prime_field()
 P = FP.modulus
 
 
+def _assert_rank_rows(ref, pivots, oracle_ref):
+    """rref keeps the oracle's first rank rows; the oracle's rows below are zero."""
+    r = len(pivots)
+    assert ref.to_rows() == oracle_ref[:r]
+    assert all(x == 0 for row in oracle_ref[r:] for x in row)
+
+
 def test_identity_rank():
     assert Matrix.identity(FP, 7).rank() == 7
     assert Matrix.identity(QQ, 7).rank() == 7
@@ -51,7 +58,7 @@ def test_proportional_rows_rank_one():
 def test_rref_of_proportional_rows():
     m = Matrix.from_rows(QQ, [[2, 4], [1, 2]])
     r, pivots = m.rref()
-    assert r.to_rows() == [[1, 2], [0, 0]]
+    assert r.to_rows() == [[1, 2]]
     assert pivots == (0,)
 
 
@@ -141,7 +148,7 @@ def test_blocked_elimination_agrees_with_oracle_on_random_matrices(p):
         ref, pivots = mat.rref()
         oracle_ref, oracle_piv = naive_rref_mod(rows, p)
         assert list(pivots) == oracle_piv
-        assert ref.to_rows() == oracle_ref
+        _assert_rank_rows(ref, pivots, oracle_ref)
         ker = mat.kernel_basis()
         assert (mat @ ker).is_zero()
         assert ker.cols == n - len(pivots)
@@ -161,7 +168,7 @@ def test_blocked_elimination_crosses_panel_boundaries():
     ref, pivots = mat.rref()
     oracle_ref, oracle_piv = naive_rref_mod(rows, P)
     assert list(pivots) == oracle_piv
-    assert ref.to_rows() == oracle_ref
+    _assert_rank_rows(ref, pivots, oracle_ref)
     ker = mat.kernel_basis()
     assert (mat @ ker).is_zero()
 
@@ -443,7 +450,7 @@ def _assert_agrees_with_oracle(field, arr):
     assert mat.rank() == (naive_rank_mod(rows, p) if rows else 0) == len(oracle_piv)
     ref, pivots = mat.rref()
     assert list(pivots) == oracle_piv
-    assert ref.to_rows() == oracle_ref
+    _assert_rank_rows(ref, pivots, oracle_ref)
     ker = mat.kernel_basis()
     assert ker.shape == (arr.shape[1], arr.shape[1] - len(oracle_piv))
     if rows:

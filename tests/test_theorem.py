@@ -286,11 +286,13 @@ class TestVerifyTheorem:
         assert calls == [[(0, 1)]] * 3
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("d", [7, 8])
-    def test_fermat_beyond_the_sextic_witnessed(self, d):
-        # The stacked action of R^d on R^{2d-5} is 1030225 x 470 at d = 8,
+    @pytest.mark.parametrize("n, d", [(3, 7), (3, 8), (4, 7)])
+    def test_fermat_beyond_the_sextic_witnessed(self, n, d):
+        # The stacked action of R^d on R^{2d-5} is 1030225 x 470 at (3, 8),
         # over the default budget; the one-multiplier certificate is not.
-        rep = verify_theorem(JacobianContext.fermat(3, d), socle_mode="full")
+        # At (4, 7) the canonical check gathers from R^15, of dimension 4332
+        # in an ambient space of 15504 monomials.
+        rep = verify_theorem(JacobianContext.fermat(n, d), socle_mode="full")
         assert rep.socle_mode == "full"
         assert rep.dims_match
         assert rep.p0_injective and rep.p1_injective
