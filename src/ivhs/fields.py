@@ -106,21 +106,6 @@ class FieldSpec:
             return (a * b) % self.modulus
         return a * b
 
-    def neg(self, a: Scalar) -> Scalar:
-        if self.kind == "prime":
-            return (-a) % self.modulus
-        return -a
-
-    def inv(self, a: Scalar) -> Scalar:
-        if self.kind == "prime":
-            a %= self.modulus
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return pow(a, self.modulus - 2, self.modulus)
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
-
     def is_zero(self, a: Scalar) -> bool:
         if self.kind == "prime":
             return a % self.modulus == 0

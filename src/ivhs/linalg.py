@@ -1,9 +1,10 @@
 """Exact dense linear algebra over Q and F_p.
 
-Everything here is exact.  Rational matrices hold Fraction entries.
-Prime-field matrices are numpy int64 arrays with entries in [0, p); one
-panel-blocked Gauss-Jordan core eliminates them in float64 (BLAS) or
-int64, with a panel width chosen so that panel * (p-1)^2 < 2^53 or < 2^62.
+Everything here is exact.  Rational matrices are numpy object arrays of
+Fractions.  Prime-field matrices are numpy int64 arrays with entries in
+[0, p); one panel-blocked Gauss-Jordan core eliminates them in float64
+(BLAS) or int64, with a panel width chosen so that panel * (p-1)^2 < 2^53
+or < 2^62.
 Between two reductions mod p an entry takes at most ``panel`` updates
 x -= f * y with f and y in [0, p), so |x| < p + panel * (p-1)^2 and every
 entry stays an exact integer: the kernels reduce once per panel, not once
@@ -374,27 +375,25 @@ def _fp_rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _q_rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q, its rank rows only."""
-    a = [list(row) for row in rows]
-    if not a or not a[0]:
-        return [], []
-    nrows, ncols = len(a), len(a[0])
+def _q_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over Q of an object array of Fractions, its
+    rank rows only."""
+    a = a.copy()
+    m, n = a.shape
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        if r >= nrows:
+    for c in range(n):
+        if r == m:
             break
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
+        nz = (a[r:, c] != 0).nonzero()[0]
+        if nz.size == 0:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                fac = a[i][c]
-                a[i] = [x - fac * y for x, y in zip(a[i], a[r])]
+        piv = r + int(nz[0])
+        a[[r, piv]] = a[[piv, r]]
+        a[r] = a[r] / a[r, c]
+        others = (a[:, c] != 0).nonzero()[0]
+        others = others[others != r]
+        a[others] -= np.outer(a[others, c], a[r])
         pivots.append(c)
         r += 1
     return a[:r], pivots
@@ -405,24 +404,41 @@ def _q_rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], l
 # ---------------------------------------------------------------------------
 
 
+def _zeros(field: FieldSpec, shape: tuple[int, int]) -> np.ndarray:
+    """Zero array of ``field``: int64 over F_p, Fraction(0) objects over Q."""
+    if field.is_prime_field:
+        return np.zeros(shape, dtype=np.int64)
+    return np.full(shape, Fraction(0), dtype=object)
+
+
 class Matrix:
     """Immutable exact matrix over a FieldSpec.
 
-    Prime-field data is a read-only int64 array with entries in [0, p);
-    rational data is a tuple of tuples of Fractions.  All arithmetic is
-    exact; elimination is deterministic (first nonzero pivot), so rref,
-    pivot columns, and kernel bases are canonical for given input.
+    The data is one read-only 2-d numpy array: int64 with entries in [0, p)
+    over F_p, ``dtype=object`` holding Fractions over Q.  Selection,
+    stacking, reshaping and comparison are the same numpy operations over
+    both fields.  Only four places look at the field: ``_reduced`` (the
+    mod-p reduction after +, -, negation, scaling and ``from_entries``),
+    ``_zeros``, the product (``_fp_matmul`` or object ``@``) and
+    elimination (the F_p kernels or ``_q_rref``); ``array`` and
+    ``from_array`` exist over F_p only.  Elimination is deterministic
+    (first nonzero pivot), so rref, pivot columns, and kernel bases are
+    canonical for given input.
     """
 
-    __slots__ = ("field", "_fp", "_q", "_shape")
+    __slots__ = ("field", "_a")
 
-    def __init__(self, field: FieldSpec, fp: np.ndarray | None, q: tuple | None, shape: tuple[int, int]):
+    def __init__(self, field: FieldSpec, arr: np.ndarray):
+        arr.flags.writeable = False
         self.field = field
-        self._fp = fp
-        self._q = q
-        self._shape = shape
-        if fp is not None:
-            fp.flags.writeable = False
+        self._a = arr
+
+    @staticmethod
+    def _reduced(field: FieldSpec, arr: np.ndarray) -> "Matrix":
+        """Wrap a fresh array, reducing it into [0, p) in place over F_p."""
+        if field.is_prime_field:
+            np.remainder(arr, field.modulus, out=arr)
+        return Matrix(field, arr)
 
     # -- constructors ------------------------------------------------------
 
@@ -432,14 +448,10 @@ class Matrix:
         ncols = len(rows[0]) if nrows else (cols if cols is not None else 0)
         if any(len(r) != ncols for r in rows):
             raise PreconditionError("ragged rows")
-        if field.is_prime_field:
-            p = field.modulus
-            arr = np.empty((nrows, ncols), dtype=np.int64)
-            for i, row in enumerate(rows):
-                arr[i] = [field.coerce(x) for x in row]
-            return Matrix(field, arr % p, None, (nrows, ncols))
-        data = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        return Matrix(field, None, data, (nrows, ncols))
+        arr = _zeros(field, (nrows, ncols))
+        for i, row in enumerate(rows):
+            arr[i] = [field.coerce(x) for x in row]
+        return Matrix(field, arr)
 
     @staticmethod
     def from_entries(
@@ -447,18 +459,13 @@ class Matrix:
     ) -> "Matrix":
         """rows x cols matrix from (row, col, value) triplets; values at a
         repeated position add up, positions never named stay zero."""
+        arr = _zeros(field, (rows, cols))
         entries = list(entries)
-        if field.is_prime_field:
-            arr = np.zeros((rows, cols), dtype=np.int64)
-            if entries:
-                i, j, x = zip(*entries)
-                vals = [field.coerce(v) for v in x]
-                np.add.at(arr, (np.array(i, dtype=np.intp), np.array(j, dtype=np.intp)), vals)
-            return Matrix(field, np.remainder(arr, field.modulus, out=arr), None, (rows, cols))
-        data = [[Fraction(0)] * cols for _ in range(rows)]
-        for i, j, x in entries:
-            data[i][j] += field.coerce(x)
-        return Matrix(field, None, tuple(map(tuple, data)), (rows, cols))
+        if entries:
+            i, j, x = zip(*entries)
+            vals = np.array([field.coerce(v) for v in x], dtype=arr.dtype)
+            np.add.at(arr, (np.array(i, dtype=np.intp), np.array(j, dtype=np.intp)), vals)
+        return Matrix._reduced(field, arr)
 
     @staticmethod
     def from_array(field: FieldSpec, arr: np.ndarray) -> "Matrix":
@@ -467,13 +474,11 @@ class Matrix:
         a = np.asarray(arr, dtype=np.int64) % field.modulus
         if a.ndim != 2:
             raise PreconditionError("expected a 2-d array")
-        return Matrix(field, a, None, a.shape)
+        return Matrix(field, a)
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        if field.is_prime_field:
-            return Matrix(field, np.zeros((rows, cols), dtype=np.int64), None, (rows, cols))
-        return Matrix(field, None, tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows)), (rows, cols))
+        return Matrix(field, _zeros(field, (rows, cols)))
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
@@ -483,56 +488,44 @@ class Matrix:
 
     @property
     def rows(self) -> int:
-        return self._shape[0]
+        return self._a.shape[0]
 
     @property
     def cols(self) -> int:
-        return self._shape[1]
+        return self._a.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._shape
+        return self._a.shape
 
     @property
     def array(self) -> np.ndarray:
         """Read-only int64 view (prime fields only)."""
-        if self._fp is None:
+        if not self.field.is_prime_field:
             raise PreconditionError("no array form over the rationals")
-        return self._fp
+        return self._a
 
+    # ``tolist`` and ``item`` give Python ints from int64 and the Fractions
+    # themselves from an object array.
     def entry(self, i: int, j: int) -> Scalar:
-        if self._fp is not None:
-            return int(self._fp[i, j])
-        return self._q[i][j]
+        return self._a.item(i, j)
 
     def row(self, i: int) -> list[Scalar]:
-        if self._fp is not None:
-            return [int(x) for x in self._fp[i]]
-        return list(self._q[i])
+        return self._a[i].tolist()
 
     def to_rows(self) -> list[list[Scalar]]:
-        return [self.row(i) for i in range(self.rows)]
+        return self._a.tolist()
 
     def flatten(self) -> list[Scalar]:
         """Entries in row-major order."""
-        if self._fp is not None:
-            return [int(x) for x in self._fp.ravel()]
-        return [x for row in self._q for x in row]
+        return self._a.ravel().tolist()
 
     def row_select(self, indices: Sequence[int]) -> "Matrix":
-        if self._fp is not None:
-            # Fancy indexing already returns a fresh array.
-            picked = self._fp[np.asarray(indices, dtype=np.intp)]
-            return Matrix(self.field, picked, None, picked.shape)
-        data = tuple(self._q[i] for i in indices)
-        return Matrix(self.field, None, data, (len(indices), self.cols))
+        # Fancy indexing already returns a fresh array.
+        return Matrix(self.field, self._a[np.asarray(indices, dtype=np.intp)])
 
     def col_select(self, indices: Sequence[int]) -> "Matrix":
-        if self._fp is not None:
-            picked = self._fp[:, np.asarray(indices, dtype=np.intp)]
-            return Matrix(self.field, picked, None, picked.shape)
-        data = tuple(tuple(row[j] for j in indices) for row in self._q)
-        return Matrix(self.field, None, data, (self.rows, len(indices)))
+        return Matrix(self.field, self._a[:, np.asarray(indices, dtype=np.intp)])
 
     def augmented_col_select(self, indices: Sequence[int]) -> "Matrix":
         """Columns ``indices`` of [I | self], I the rows x rows identity, which
@@ -540,29 +533,18 @@ class Matrix:
         picks column j - rows of self, and a negative index a zero column."""
         idx = np.asarray(indices, dtype=np.intp)
         n = self.rows
-        if self._fp is not None:
-            out = np.zeros((n, idx.size), dtype=np.int64)
-            right = (idx >= n).nonzero()[0]
-            out[:, right] = self._fp[:, idx[right] - n]
-            unit = ((0 <= idx) & (idx < n)).nonzero()[0]
-            out[idx[unit], unit] = 1
-            return Matrix(self.field, out, None, out.shape)
-        zero, one = Fraction(0), Fraction(1)
-        data = tuple(
-            tuple(one if j == i else self._q[i][j - n] if j >= n else zero for j in idx.tolist())
-            for i in range(n)
-        )
-        return Matrix(self.field, None, data, (n, idx.size))
+        out = _zeros(self.field, (n, idx.size))
+        right = (idx >= n).nonzero()[0]
+        out[:, right] = self._a[:, idx[right] - n]
+        unit = ((0 <= idx) & (idx < n)).nonzero()[0]
+        out[idx[unit], unit] = self.field.one()
+        return Matrix(self.field, out)
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
         """The same entries, read in row-major order, regrouped into rows x cols."""
         if rows < 0 or cols < 0 or rows * cols != self.rows * self.cols:
             raise PreconditionError(f"cannot reshape {self.rows}x{self.cols} into {rows}x{cols}")
-        if self._fp is not None:
-            return Matrix(self.field, self._fp.reshape(rows, cols), None, (rows, cols))
-        flat = self.flatten()
-        data = tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows))
-        return Matrix(self.field, None, data, (rows, cols))
+        return Matrix(self.field, self._a.reshape(rows, cols))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -574,34 +556,22 @@ class Matrix:
         self._check_same_field(other)
         if self.shape != other.shape:
             raise PreconditionError("shape mismatch in addition")
-        if self._fp is not None:
-            return Matrix(self.field, (self._fp + other._fp) % self.field.modulus, None, self.shape)
-        data = tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self._q, other._q))
-        return Matrix(self.field, None, data, self.shape)
+        return Matrix._reduced(self.field, self._a + other._a)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
         if self.shape != other.shape:
             raise PreconditionError("shape mismatch in subtraction")
-        if self._fp is not None:
-            return Matrix(self.field, (self._fp - other._fp) % self.field.modulus, None, self.shape)
-        data = tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self._q, other._q))
-        return Matrix(self.field, None, data, self.shape)
+        return Matrix._reduced(self.field, self._a - other._a)
 
     def __neg__(self) -> "Matrix":
-        if self._fp is not None:
-            return Matrix(self.field, (-self._fp) % self.field.modulus, None, self.shape)
-        data = tuple(tuple(-a for a in row) for row in self._q)
-        return Matrix(self.field, None, data, self.shape)
+        return Matrix._reduced(self.field, -self._a)
 
     def scale(self, c: Scalar) -> "Matrix":
         c = self.field.coerce(c)
         if c == self.field.one():
             return self  # immutable, so sharing is safe
-        if self._fp is not None:
-            return Matrix(self.field, (self._fp * int(c)) % self.field.modulus, None, self.shape)
-        data = tuple(tuple(c * a for a in row) for row in self._q)
-        return Matrix(self.field, None, data, self.shape)
+        return Matrix._reduced(self.field, self._a * c)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
@@ -609,38 +579,24 @@ class Matrix:
             raise PreconditionError(
                 f"inner dimensions differ: {self.shape} @ {other.shape}"
             )
-        if self._fp is not None:
-            return Matrix(self.field, _fp_matmul(self._fp, other._fp, self.field.modulus), None, (self.rows, other.cols))
-        data = tuple(
-            tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*other._q)) if other._q else ()
-            for row in self._q
-        )
-        # zip(*other._q) is empty when other has no rows; guard the shape.
-        if other.cols == 0 or self.rows == 0 or self.cols == 0:
+        if self.field.is_prime_field:
+            return Matrix(self.field, _fp_matmul(self._a, other._a, self.field.modulus))
+        if self.cols == 0:  # object @ would give int zeros
             return Matrix.zeros(self.field, self.rows, other.cols)
-        return Matrix(self.field, None, data, (self.rows, other.cols))
+        return Matrix(self.field, self._a @ other._a)
 
     def transpose(self) -> "Matrix":
-        if self._fp is not None:
-            return Matrix(self.field, np.ascontiguousarray(self._fp.T), None, (self.cols, self.rows))
-        data = tuple(tuple(row[j] for row in self._q) for j in range(self.cols))
-        return Matrix(self.field, None, data, (self.cols, self.rows))
+        return Matrix(self.field, np.ascontiguousarray(self._a.T))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.field != other.field or self.shape != other.shape:
-            return False
-        if self._fp is not None:
-            return bool(np.array_equal(self._fp, other._fp))
-        return self._q == other._q
+        return self.field == other.field and self.shape == other.shape and bool(np.array_equal(self._a, other._a))
 
     __hash__ = None  # matrices are compared by value, not hashed
 
     def is_zero(self) -> bool:
-        if self._fp is not None:
-            return not np.any(self._fp)
-        return all(x == 0 for row in self._q for x in row)
+        return not self._a.any()
 
     def __repr__(self) -> str:
         return f"Matrix({self.field.kind}, {self.rows}x{self.cols})"
@@ -648,18 +604,18 @@ class Matrix:
     # -- elimination ----------------------------------------------------------
 
     def rank(self) -> int:
-        if self._fp is not None:
-            return _fp_rank(self._fp, self.field.modulus)
-        return len(_q_rref(self._q)[1])
+        if self.field.is_prime_field:
+            return _fp_rank(self._a, self.field.modulus)
+        return len(_q_rref(self._a)[1])
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form without its zero rows, and its pivot
         columns: row i has its leading 1 at pivots[i]."""
-        if self._fp is not None:
-            r, pivots = _fp_rref(self._fp, self.field.modulus)
-            return Matrix(self.field, r, None, r.shape), tuple(pivots)
-        r, pivots = _q_rref(self._q)
-        return Matrix(self.field, None, tuple(tuple(row) for row in r), (len(r), self.cols)), tuple(pivots)
+        if self.field.is_prime_field:
+            r, pivots = _fp_rref(self._a, self.field.modulus)
+        else:
+            r, pivots = _q_rref(self._a)
+        return Matrix(self.field, r), tuple(pivots)
 
     def kernel_basis(self) -> "Matrix":
         """Matrix whose columns span the right kernel; cols == cols - rank.
@@ -691,11 +647,7 @@ class Matrix:
         cols = mats[0].cols
         if any(m.field != field or m.cols != cols for m in mats):
             raise PreconditionError("vstack requires equal fields and widths")
-        if field.is_prime_field:
-            arr = np.concatenate([m._fp for m in mats], axis=0) if mats else None
-            return Matrix(field, arr, None, (arr.shape[0], cols))
-        data = tuple(row for m in mats for row in m._q)
-        return Matrix(field, None, data, (len(data), cols))
+        return Matrix(field, np.concatenate([m._a for m in mats], axis=0))
 
     @staticmethod
     def hstack(mats: Sequence["Matrix"]) -> "Matrix":
@@ -705,11 +657,7 @@ class Matrix:
         rows = mats[0].rows
         if any(m.field != field or m.rows != rows for m in mats):
             raise PreconditionError("hstack requires equal fields and heights")
-        if field.is_prime_field:
-            arr = np.concatenate([m._fp for m in mats], axis=1)
-            return Matrix(field, arr, None, (rows, arr.shape[1]))
-        data = tuple(tuple(x for m in mats for x in m._q[i]) for i in range(rows))
-        return Matrix(field, None, data, (rows, data and len(data[0]) or sum(m.cols for m in mats)))
+        return Matrix(field, np.concatenate([m._a for m in mats], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +678,7 @@ def random_matrix(field: FieldSpec, rows: int, cols: int, seed) -> Matrix:
     else:
         rng = np.random.default_rng(seed)
     arr = rng.integers(0, field.modulus, size=(rows, cols), dtype=np.int64)
-    return Matrix(field, arr, None, (rows, cols))
+    return Matrix(field, arr)
 
 
 def coordinates_in_rowspace(basis: Matrix, vector: Sequence[Scalar]) -> list[Scalar] | None:
@@ -767,15 +715,11 @@ class Subspace:
 
     @staticmethod
     def from_rows(field: FieldSpec, rows, ambient_dimension: int | None = None) -> "Subspace":
-        if isinstance(rows, Matrix):
-            mat = rows
-        else:
-            mat = Matrix.from_rows(field, rows, cols=ambient_dimension)
-        ambient = mat.cols if mat.rows else (ambient_dimension if ambient_dimension is not None else mat.cols)
+        """Span of ``rows``: a Matrix, or a list of rows of ``ambient_dimension``
+        entries (needed only when the list is empty)."""
+        mat = rows if isinstance(rows, Matrix) else Matrix.from_rows(field, rows, cols=ambient_dimension)
         r, pivots = mat.rref()
-        if not pivots:
-            return Subspace(field, ambient, Matrix.zeros(field, 0, ambient), ())
-        return Subspace(field, ambient, r, pivots)
+        return Subspace(field, mat.cols, r, pivots)
 
     @property
     def dim(self) -> int:

@@ -22,8 +22,9 @@ variation data.  This module has three layers:
   scale: graded dimensions against the closed forms, injectivity of the
   projections p_0 and p_1, the canonical symmetrizer (multiplication one
   level up) being nonzero and exactly symmetric on sampled pairs, and the
-  dimension inequality.  The verdict NonGenericityWitnessed requires all of
-  p_0, p_1, the symmetrizer, and the inequality to pass.
+  dimension inequality.  The verdict NonGenericityWitnessed requires the
+  graded dimensions to match the closed forms and all of p_0, p_1, the
+  symmetrizer, and the inequality to pass.
 """
 
 from __future__ import annotations
@@ -330,8 +331,9 @@ def geometric_frame_candidate(
 @dataclass(frozen=True)
 class TheoremReport:
     """Outcome of the fixture pipeline.  The verdict is NonGenericityWitnessed
-    exactly when p_0 and p_1 injectivity, the canonical symmetrizer, and the
-    dimension inequality all pass."""
+    exactly when the graded dimensions match the closed forms and p_0 and p_1
+    injectivity, the canonical symmetrizer, and the dimension inequality all
+    pass."""
 
     fixture: str
     n: int
@@ -560,7 +562,7 @@ def verify_theorem(
 
     verdict = (
         "NonGenericityWitnessed"
-        if p0 and p1 and q_ok and inequality is True
+        if dims_match and p0 and p1 and q_ok and inequality is True
         else "Inconclusive"
     )
     return TheoremReport(

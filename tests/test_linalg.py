@@ -339,6 +339,35 @@ def test_stacking():
 
 
 @pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "qq"])
+def test_degenerate_shapes_keep_shape_and_entry_type(field):
+    scalar = int if field.is_prime_field else Fraction
+    m = Matrix.from_rows(field, [[1, 2, 3], [4, 5, 6]])
+    empty = m.row_select([])
+    assert empty.shape == (0, 3)
+    assert empty.to_rows() == [] and empty.flatten() == []
+    no_cols = Matrix.zeros(field, 2, 0)
+    assert Matrix.vstack([empty, m, empty]) == m
+    assert Matrix.vstack([empty, empty]).shape == (0, 3)
+    assert Matrix.hstack([no_cols, m, no_cols]) == m
+    assert Matrix.hstack([no_cols, no_cols]).shape == (2, 0)
+    assert Matrix.hstack([empty, empty]).shape == (0, 6)
+    assert empty.reshape(0, 5).shape == (0, 5)
+    assert empty.transpose().shape == (3, 0)
+    assert empty.transpose().to_rows() == [[], [], []]
+    prod = no_cols @ Matrix.zeros(field, 0, 4)
+    assert prod.shape == (2, 4) and prod.is_zero()
+    assert all(type(x) is scalar for x in prod.flatten())
+    assert (empty @ m.transpose()).shape == (0, 2)
+    eye = Matrix.identity(field, 0)
+    assert eye.shape == (0, 0) and eye.rank() == 0
+    assert type(m.entry(1, 2)) is scalar and m.entry(1, 2) == 6
+    assert [type(x) for x in m.row(0)] == [scalar] * 3
+    assert all(type(x) is scalar for row in m.to_rows() for x in row)
+    for derived in (-m, m + m, m.scale(2), m @ m.transpose(), m.rref()[0]):
+        assert all(type(x) is scalar for x in derived.flatten())
+
+
+@pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "qq"])
 def test_reshape_round_trips_and_agrees_with_flatten(field):
     m = Matrix.from_rows(field, [[1, 2, 3], [4, 5, 6]])
     for shape in ((3, 2), (1, 6), (6, 1), (2, 3)):

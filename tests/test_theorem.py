@@ -285,6 +285,19 @@ class TestVerifyTheorem:
         assert (result.nonzero, result.symmetric, result.pairs_checked) == (True, False, 2)
         assert calls == [[(0, 1)]] * 3
 
+    def test_dimension_mismatch_is_inconclusive(self, monkeypatch):
+        # dim E one above the true 185 still satisfies the inequality, so
+        # only the mismatch can keep the verdict from being witnessed.
+        real = theorem.profile
+        monkeypatch.setattr(theorem, "profile", lambda n, d: replace(real(n, d), dim_e=real(n, d).dim_e + 1))
+        rep = verify_theorem(JacobianContext.fermat(3, 6), seed=0, pair_sample=60)
+        assert not rep.dims_match
+        assert rep.p0_injective and rep.p1_injective
+        assert rep.canonical_symmetrizer_nonzero
+        assert rep.inequality_holds is True
+        assert rep.verdict == "Inconclusive"
+        assert "graded dimensions disagree with the closed forms" in rep.notes
+
     @pytest.mark.slow
     @pytest.mark.parametrize("n, d", [(3, 7), (3, 8), (4, 7)])
     def test_fermat_beyond_the_sextic_witnessed(self, n, d):
