@@ -3,14 +3,22 @@
 Each graded piece is presented by its standard monomials (non-pivot columns
 of the row-reduced ideal piece) and its normal form: an index from each
 ambient monomial to its class and, for dense pieces, the reduced pivot block
-(``linalg.normal_form``), read only by ``GradedQuotientPiece.classes``.
-Monomial ideals (Fermat fixtures) take a combinatorial path: the ideal piece
-is spanned by distinct monomials, so ranks are set counts and pivot
-monomials have class zero.  Everything else goes through exact dense
-elimination, guarded by the entry budget.
+(``linalg.normal_form``).  Products with classes are applied by scatter:
+classes(cols) @ M adds each row of M into the row of its standard class,
+drops it at class zero, and sends only the rows at pivot classes through one
+product with the reduced block, without building classes(cols).  Monomial
+ideals (Fermat fixtures) take a combinatorial path: the ideal piece is
+spanned by distinct monomials, so ranks are set counts and pivot monomials
+have class zero.  Everything else goes through exact dense elimination,
+guarded by the entry budget.
 
-A smooth hypersurface of degree d in P^{n+1} has one-dimensional socle in
-degree sigma = (n+2)(d-2) and zero beyond; socle_check tests exactly that.
+f is smooth exactly when the partials have no common zero, that is when
+R = S/J is Artinian, which the single piece R^(sigma+1) = 0 decides for
+sigma = (n+2)(d-2): then the N = n+2 partials of degree d-1 generate an
+ideal primary to the irrelevant one, so they form a regular sequence and R
+has Hilbert series ((1-t^(d-1))/(1-t))^N, a one-dimensional socle in degree
+sigma and nothing beyond, in every characteristic.  A monomial ideal is
+Artinian iff every variable has a pure power among the generators.
 """
 
 from __future__ import annotations
@@ -151,7 +159,26 @@ class GradedQuotientPiece:
 
     def classes(self, cols) -> Matrix:
         """dim x len(cols): column c is the class of ambient monomial cols[c]."""
-        return self._reduced.augmented_col_select(self._class_col[np.asarray(cols, dtype=np.intp)])
+        return self._reduced.augmented_col_select(self._at(cols))
+
+    def classes_matmul(self, cols, m: Matrix) -> Matrix:
+        """``classes(cols) @ m`` by scatter, without building ``classes(cols)``."""
+        return self._reduced.augmented_matmul(self._at(cols), m)
+
+    def class_sums(self, cols, coeffs: Sequence[Scalar]) -> Matrix:
+        """dim x len(cols) for a 2-d ``cols``: column u is the sum over k of
+        coeffs[k] times the class of ambient monomial cols[u, k]."""
+        return self._reduced.augmented_col_sums(self._at(cols), coeffs)
+
+    def nonzero_classes(self, cols) -> np.ndarray:
+        """Boolean array shaped like ``cols``: whether each ambient monomial
+        has a nonzero class."""
+        # Standard classes, then the reduced columns, then False for class -1.
+        hit = np.concatenate([np.ones(self.dim, dtype=bool), self._reduced.nonzero_columns(), [False]])
+        return hit[self._at(cols)]
+
+    def _at(self, cols) -> np.ndarray:
+        return self._class_col[np.asarray(cols, dtype=np.intp)]
 
     def project_poly(self, g: HomogeneousPoly) -> list[Scalar]:
         """Coordinates of [g] in the standard-monomial basis."""
@@ -159,7 +186,7 @@ class GradedQuotientPiece:
             raise PreconditionError("polynomial does not live in this piece")
         support = [j for j, c in enumerate(g.coeffs) if c != 0]
         coeffs = Matrix.from_rows(self.field, [[g.coeffs[j]] for j in support], cols=1)
-        return (self.classes(support) @ coeffs).flatten()
+        return self.classes_matmul(support, coeffs).flatten()
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +223,10 @@ def multiplication_map(ctx: JacobianContext, g: HomogeneousPoly, a: int) -> Mult
     terms = list(g.terms())
     if not terms:
         return MultiplicationMap(ctx, g, a, Matrix.zeros(ctx.field, tgt.dim, src.dim))
-    # Column u of the map is sum_t c_t * (class of u * x^t).
+    # Column u of the map is sum_t c_t * (class of u * x^t): one scatter of
+    # (class, u, c_t) triplets.
     cols = tgt.ambient.sum_index(src.standard_monomials, [t for t, _ in terms])
-    out = tgt.classes(cols[:, 0]).scale(terms[0][1])
-    for k in range(1, len(terms)):
-        out = out + tgt.classes(cols[:, k]).scale(terms[k][1])
-    return MultiplicationMap(ctx, g, a, out)
+    return MultiplicationMap(ctx, g, a, tgt.class_sums(cols, [c for _, c in terms]))
 
 
 def action_matrix(ctx: JacobianContext, a: int, b: int) -> Matrix:
@@ -251,7 +276,18 @@ def macaulay_injectivity_check(ctx: JacobianContext, a: int, b: int) -> bool:
 
 
 def socle_check(ctx: JacobianContext) -> bool:
-    """dim R^sigma == 1 and dim R^(sigma+1) == 0 for sigma = (n+2)(d-2)."""
+    """dim R^sigma == 1 and dim R^(sigma+1) == 0 for sigma = (n+2)(d-2).
+
+    Both hold iff R^(sigma+1) == 0: that makes R Artinian, so the n+2
+    partials are a regular sequence and R is a complete intersection with
+    Hilbert series ((1-t^(d-1))/(1-t))^(n+2), whose top coefficient is 1 in
+    degree sigma, in every characteristic.  A monomial ideal is Artinian iff
+    each variable has a nonzero pure-power generator, a set test that builds
+    no piece; any other ideal builds the one piece R^(sigma+1).
+    """
+    if ctx.has_monomial_ideal:
+        powers = {i for g in ctx.generators for e, _ in g.terms() for i, k in enumerate(e) if k == sum(e)}
+        return len(powers) == ctx.num_vars
     sigma = ctx.socle_degree
     amb_dim = graded_dimension(ctx.num_vars, sigma + 1)
     if amb_dim > SOCLE_DIMENSION_GUARD:
@@ -259,7 +295,7 @@ def socle_check(ctx: JacobianContext) -> bool:
             f"socle check needs the degree-{sigma + 1} piece of dimension {amb_dim}, "
             f"beyond the guard of {SOCLE_DIMENSION_GUARD}"
         )
-    return ctx.piece(sigma).dim == 1 and ctx.piece(sigma + 1).dim == 0
+    return ctx.piece(sigma + 1).dim == 0
 
 
 @dataclass(frozen=True)

@@ -417,8 +417,9 @@ class Matrix:
     The data is one read-only 2-d numpy array: int64 with entries in [0, p)
     over F_p, ``dtype=object`` holding Fractions over Q.  Selection,
     stacking, reshaping and comparison are the same numpy operations over
-    both fields.  Only four places look at the field: ``_reduced`` (the
-    mod-p reduction after +, -, negation, scaling and ``from_entries``),
+    both fields.  Only these look at the field: ``_reduced`` (the
+    mod-p reduction after +, -, negation, scaling and ``from_entries``)
+    and ``_reduced_at`` (after the scatters of the ``augmented_*`` products),
     ``_zeros``, the product (``_fp_matmul`` or object ``@``) and
     elimination (the F_p kernels or ``_q_rref``); ``array`` and
     ``from_array`` exist over F_p only.  Elimination is deterministic
@@ -438,6 +439,14 @@ class Matrix:
         """Wrap a fresh array, reducing it into [0, p) in place over F_p."""
         if field.is_prime_field:
             np.remainder(arr, field.modulus, out=arr)
+        return Matrix(field, arr)
+
+    @staticmethod
+    def _reduced_at(field: FieldSpec, arr: np.ndarray, at) -> "Matrix":
+        """``_reduced`` for an array whose entries off the index ``at``
+        already lie in [0, p): only those at ``at`` are reduced."""
+        if field.is_prime_field:
+            arr[at] %= field.modulus
         return Matrix(field, arr)
 
     # -- constructors ------------------------------------------------------
@@ -532,13 +541,59 @@ class Matrix:
         is never built: index j < rows picks the unit column e_j, j >= rows
         picks column j - rows of self, and a negative index a zero column."""
         idx = np.asarray(indices, dtype=np.intp)
-        n = self.rows
-        out = _zeros(self.field, (n, idx.size))
-        right = (idx >= n).nonzero()[0]
-        out[:, right] = self._a[:, idx[right] - n]
-        unit = ((0 <= idx) & (idx < n)).nonzero()[0]
+        unit, right = self._augmented_split(idx)
+        out = _zeros(self.field, (self.rows, idx.size))
+        out[:, right] = self._a[:, idx[right] - self.rows]
         out[idx[unit], unit] = self.field.one()
         return Matrix(self.field, out)
+
+    def augmented_matmul(self, indices: Sequence[int], other: "Matrix") -> "Matrix":
+        """``self.augmented_col_select(indices) @ other``, selection unbuilt:
+        row r of ``other`` is added into row indices[r] when that is below
+        ``rows`` and dropped when it is negative; the rows at the other
+        indices go through one product with the columns of self they pick."""
+        idx = np.asarray(indices, dtype=np.intp)
+        if idx.size != other.rows:
+            raise PreconditionError(f"{idx.size} indices for {other.rows} rows")
+        unit, right = self._augmented_split(idx)
+        out = self._augmented_base(idx[right], other.row_select(right) if right.size else None, other.cols)
+        np.add.at(out, idx[unit], other._a[unit])
+        return Matrix._reduced_at(self.field, out, idx[unit])
+
+    def augmented_col_sums(self, indices, coeffs: Sequence[Scalar]) -> "Matrix":
+        """rows x len(indices) for a 2-d ``indices``: column u is the sum over
+        j of coeffs[j] (field elements) times column indices[u, j] of
+        [I | self], read as in ``augmented_col_select``.  Unit columns are
+        scattered; those of self go through one product, as in
+        ``augmented_matmul``."""
+        idx = np.asarray(indices, dtype=np.intp)
+        width, k = idx.shape
+        vals = _zeros(self.field, (width, k))
+        vals[:] = coeffs
+        idx, vals, cols = idx.ravel(), vals.ravel(), np.arange(width).repeat(k)
+        unit, right = self._augmented_split(idx)
+        s = None
+        if right.size:
+            s = _zeros(self.field, (right.size, width))
+            s[np.arange(right.size), cols[right]] = vals[right]
+            s = Matrix(self.field, s)
+        out = self._augmented_base(idx[right], s, width)
+        at = idx[unit], cols[unit]
+        np.add.at(out, at, vals[unit])
+        return Matrix._reduced_at(self.field, out, at)
+
+    def _augmented_split(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of ``idx`` that pick a unit column of [I | self], and
+        those that pick a column of self."""
+        n = self.rows
+        return ((0 <= idx) & (idx < n)).nonzero()[0], (idx >= n).nonzero()[0]
+
+    def _augmented_base(self, right_idx: np.ndarray, rows: "Matrix | None", width: int) -> np.ndarray:
+        """A fresh writable rows x ``width`` array: the columns ``right_idx``
+        of [I | self], all past I, times ``rows``; zeros when ``rows`` is None."""
+        if rows is None:
+            return _zeros(self.field, (self.rows, width))
+        return (self.col_select(right_idx - self.rows) @ rows)._a.copy()
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
         """The same entries, read in row-major order, regrouped into rows x cols."""
@@ -597,6 +652,10 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not self._a.any()
+
+    def nonzero_columns(self) -> np.ndarray:
+        """Boolean mask of the columns that hold a nonzero entry."""
+        return (self._a != 0).any(axis=0)
 
     def __repr__(self) -> str:
         return f"Matrix({self.field.kind}, {self.rows}x{self.cols})"

@@ -101,9 +101,6 @@ class MonomialBasis:
         pos = np.searchsorted(self._keys, lk[:, None] + rk[None, :])
         return self.dim - 1 - pos
 
-    def __contains__(self, exponents) -> bool:
-        return tuple(exponents) in self._index
-
 
 @lru_cache(maxsize=None)
 def basis(num_vars: int, degree: int) -> MonomialBasis:

@@ -40,6 +40,7 @@ import numpy as np
 from .errors import BudgetExceededError, PreconditionError, SingularInputError
 from .hodge import HodgeShape, HorizontalElement, IntegralElementCandidate, check_integral
 from .jacobian import (
+    GradedQuotientPiece,
     JacobianContext,
     macaulay_injectivity_check,
     multiplication_map,
@@ -48,7 +49,7 @@ from .jacobian import (
 )
 from .linalg import Matrix
 from .polyring import HomogeneousPoly
-from .symmetrizers import VerificationResult, verify_candidate_symmetrizer
+from .symmetrizers import verify_candidate_symmetrizer
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +455,20 @@ class CanonicalSymmetrizerResult:
         return self.nonzero and self.symmetric
 
 
+class _ScatterMap:
+    """A piece's classes of ``cols`` as an operator: ``@`` applies them by
+    scatter (``classes_matmul``) instead of building their class matrix."""
+
+    __slots__ = ("piece", "cols")
+
+    def __init__(self, piece: GradedQuotientPiece, cols: np.ndarray):
+        self.piece = piece
+        self.cols = cols
+
+    def __matmul__(self, m: Matrix) -> Matrix:
+        return self.piece.classes_matmul(self.cols, m)
+
+
 def canonical_symmetrizer_check(
     ctx: JacobianContext, seed: int = 0, pair_sample: int = 60
 ) -> CanonicalSymmetrizerResult:
@@ -471,38 +486,36 @@ def canonical_symmetrizer_check(
     b = 2 * d - (n + 2)
     if b < 0:
         raise PreconditionError("degree 2d-(n+2) is negative; no variation data")
-    dim_b = ctx.piece(b).dim
+    mid, top = ctx.piece(b), ctx.piece(b + d)
     basis_e = ctx.piece(d).standard_monomials
     k = len(basis_e)
-
-    def multiplication_by_basis(src: int):
-        # The matrix of g -> multiplication_map(ctx, g, src) for the idx-th
-        # standard monomial g of R^d: column u is the class of u * g, so one
-        # index table serves every g.
-        tgt = ctx.piece(src + d)
-        cols = tgt.ambient.sum_index(ctx.piece(src).standard_monomials, basis_e)
-        return lambda idx: tgt.classes(cols[:, idx])
-
-    alpha_of = multiplication_by_basis(a) if a >= 0 else lambda idx: Matrix.zeros(ctx.field, dim_b, 0)
-    q_of = multiplication_by_basis(b)
+    # Column g: the ambient monomials u * g of R^(b+d) for u standard in
+    # R^b.  q(g) is the class matrix of that column, never built: it is
+    # nonzero iff some u * g has a nonzero class, and q(g) @ m is a scatter.
+    q_cols = top.ambient.sum_index(mid.standard_monomials, basis_e)
+    q_nonzero = top.nonzero_classes(q_cols).any(axis=0)
+    q_of = lambda idx: _ScatterMap(top, q_cols[:, idx])
+    if a >= 0:
+        a_cols = mid.ambient.sum_index(ctx.piece(a).standard_monomials, basis_e)
+        alpha_of = lambda idx: mid.classes(a_cols[:, idx])
+    else:
+        alpha_of = lambda idx: Matrix.zeros(ctx.field, mid.dim, 0)
     pairs = _sample_pairs(k, pair_sample, seed) if k >= 2 else []
     if not pairs:
-        nonzero = k >= 1 and not q_of(0).is_zero()
+        nonzero = k >= 1 and bool(q_nonzero[0])
         return CanonicalSymmetrizerResult(nonzero=nonzero, symmetric=True, pairs_checked=0)
-    # Pairs come sorted, so q(x) is built once per run of x and q(y) per
-    # pair: at most two q maps are held at once.
-    nonzero, symmetric, checked = True, True, 0
+    nonzero = bool(q_nonzero[[g for pair in pairs for g in pair]].all())
+    # Pairs come sorted, so alpha(x) is built once per run of x.
+    symmetric, checked = True, 0
     current = None
     for x, y in pairs:
         if x != current:
             current, alpha_x, q_x = x, alpha_of(x), q_of(x)
-            nonzero = nonzero and not q_x.is_zero()
-        q_y = q_of(y)
-        nonzero = nonzero and not q_y.is_zero()
-        if symmetric:
-            identity = verify_candidate_symmetrizer([alpha_x, alpha_of(y)], [q_x, q_y], pairs=[(0, 1)])
-            symmetric = identity.holds
-            checked += identity.pairs_checked
+        identity = verify_candidate_symmetrizer([alpha_x, alpha_of(y)], [q_x, q_of(y)], pairs=[(0, 1)])
+        symmetric = identity.holds
+        checked += identity.pairs_checked
+        if not symmetric:
+            break
     return CanonicalSymmetrizerResult(nonzero=nonzero, symmetric=symmetric, pairs_checked=checked)
 
 

@@ -10,6 +10,7 @@ import pytest
 from ivhs.errors import BudgetExceededError, PreconditionError
 from ivhs.fields import QQ, FieldSpec, default_prime_field
 from ivhs.jacobian import (
+    SOCLE_DIMENSION_GUARD,
     JacobianContext,
     action_matrix,
     graded_table,
@@ -111,9 +112,15 @@ NORMAL_FORM_FIXTURES = {
 }
 
 
-@pytest.mark.parametrize(
-    "field", [FieldSpec.prime(10007), FieldSpec.prime(2147483629), QQ], ids=["p10007", "p2147483629", "QQ"]
-)
+FIELD_PARAMS = [
+    pytest.param(FieldSpec.prime(10007), id="p10007"),
+    pytest.param(FieldSpec.prime(2147483629), id="p2147483629"),
+    pytest.param(QQ, id="QQ"),
+]
+FIELDS = pytest.mark.parametrize("field", FIELD_PARAMS)
+
+
+@FIELDS
 @pytest.mark.parametrize("name", list(NORMAL_FORM_FIXTURES))
 def test_normal_form_fixes_standard_and_kills_ideal(name, field):
     # Every degree with an ideal part up to one past the socle: the classes
@@ -142,6 +149,125 @@ def test_normal_form_fixes_standard_and_kills_ideal(name, field):
             for k, j in enumerate(pivots):
                 expected[j] = [-ref[k][s] for s in std_cols]
             assert (classes == expected).all(), m
+
+
+def _random_matrix(field, rows, cols, rng):
+    if field == QQ:
+        return Matrix.from_rows(
+            field,
+            [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in range(cols)] for _ in range(rows)],
+            cols=cols,
+        )
+    return Matrix.from_array(field, rng.integers(0, field.modulus, size=(rows, cols)))
+
+
+def _scatter_cases(piece, rng):
+    """Column lists mixing standard and pivot monomials (class zero on a
+    monomial ideal) with repeats, and the empty list."""
+    amb = piece.ambient
+    std = [amb.index(e) for e in piece.standard_monomials]
+    others = sorted(set(range(amb.dim)) - set(std))
+    picks = list(rng.choice(std, size=min(6, len(std)), replace=False)) if std else []
+    picks += list(rng.choice(others, size=min(6, len(others)), replace=False)) if others else []
+    picks = [int(j) for j in picks]
+    return [picks + picks[:3] + picks[-2:], picks[::-1], []]
+
+
+def _mult_map_by_gathers(ctx, g, a):
+    """The map [u] -> [g u] as the sum over the terms c x^t of g of c times
+    the class matrix of the monomials u x^t."""
+    src, tgt = ctx.piece(a), ctx.piece(a + g.degree)
+    terms = list(g.terms())
+    cols = tgt.ambient.sum_index(src.standard_monomials, [t for t, _ in terms])
+    out = Matrix.zeros(ctx.field, tgt.dim, src.dim)
+    for k, (_, c) in enumerate(terms):
+        out = out + tgt.classes(cols[:, k]).scale(c)
+    return out
+
+
+@FIELDS
+@pytest.mark.parametrize("name", list(NORMAL_FORM_FIXTURES))
+def test_scatter_paths_match_class_matrices(name, field):
+    # classes_matmul, multiplication_map and nonzero_classes against the
+    # class matrices they avoid building.
+    ctx = NORMAL_FORM_FIXTURES[name](field)
+    rng = np.random.default_rng((7, ctx.num_vars, ctx.d))
+    for m in range(ctx.d - 1, ctx.d + 3):
+        piece = ctx.piece(m)
+        for cols in _scatter_cases(piece, rng):
+            for width in (0, 1, 3):
+                mat = _random_matrix(field, len(cols), width, rng)
+                assert piece.classes_matmul(cols, mat) == piece.classes(cols) @ mat, (m, cols, width)
+            nonzero = piece.nonzero_classes(cols)
+            assert nonzero.tolist() == [not piece.classes([j]).is_zero() for j in cols]
+    texts = ("x0*x1", "x0^2+2*x1*x2", "x2^2-3*x0*x3+x1^2")
+    for g in [parse_poly(text, field, num_vars=ctx.num_vars) for text in texts] + [ctx.generators[1]]:
+        for a in (0, 1, ctx.d - 1, ctx.d):
+            assert multiplication_map(ctx, g, a).matrix == _mult_map_by_gathers(ctx, g, a), (g, a)
+    # On a 2-d index table, as the canonical check tests q(g) != 0.
+    b, top_deg = ctx.d - 1, 2 * ctx.d - 1
+    q_cols = ctx.piece(top_deg).ambient.sum_index(ctx.piece(b).standard_monomials, ctx.piece(ctx.d).standard_monomials)
+    got = ctx.piece(top_deg).nonzero_classes(q_cols).any(axis=0).tolist()
+    assert got == [not ctx.piece(top_deg).classes(q_cols[:, g]).is_zero() for g in range(q_cols.shape[1])]
+
+
+def _socle_two_pieces(ctx):
+    sigma = ctx.socle_degree
+    return ctx.piece(sigma).dim == 1 and ctx.piece(sigma + 1).dim == 0
+
+
+SEED_913_QUARTIC = "x0^4+1613*x0^2*x1*x2+1736*x0^2*x2*x3+x1^4+x2^4-2*x2^2*x3^2+x3^4"
+SOCLE_FIXTURES = {
+    "fermat(2,4)": lambda fld: JacobianContext.fermat(2, 4, field=fld),
+    "fermat(3,3)": lambda fld: JacobianContext.fermat(3, 3, field=fld),
+    "fermat(3,5)": lambda fld: JacobianContext.fermat(3, 5, field=fld),
+    "cubic-surface": NORMAL_FORM_FIXTURES["cubic-surface"],
+    "quartic-surface": NORMAL_FORM_FIXTURES["quartic-surface"],
+    "x0^6": lambda fld: JacobianContext(parse_poly("x0^6", fld, num_vars=5)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [
+        pytest.param(name, f.values[0], id=f"{name}-{f.id}")
+        for name in SOCLE_FIXTURES
+        for f in FIELD_PARAMS
+        # Over Q the quartic's degree-9 ideal piece (224 x 220) is too slow
+        # for Fraction elimination.
+        if not (name == "quartic-surface" and f.id == "QQ")
+    ],
+)
+def test_socle_check_matches_two_piece_definition(name, field):
+    ctx = SOCLE_FIXTURES[name](field)
+    got = socle_check(ctx)
+    # A monomial ideal builds no piece; any other ideal only R^(sigma+1).
+    assert set(ctx._pieces) == (set() if ctx.has_monomial_ideal else {ctx.socle_degree + 1})
+    assert got == _socle_two_pieces(SOCLE_FIXTURES[name](field))
+    assert got == (name != "x0^6")
+
+
+def test_socle_check_false_when_every_partial_vanishes():
+    # Over F_5 the partials 5 x_i^4 of fermat(2,5) are all zero.
+    ctx = JacobianContext.fermat(2, 5, field=FieldSpec.prime(5))
+    assert not socle_check(ctx)
+    assert (ctx.piece(12).dim, ctx.piece(13).dim) == (455, 560)
+
+
+def test_socle_check_rejects_singular_quartic_the_probe_passes():
+    # f and its partials vanish at (0:0:1:1) over F_10007.
+    ctx = JacobianContext(parse_poly(SEED_913_QUARTIC, FieldSpec.prime(10007), num_vars=4))
+    assert smoothness_probe(ctx).consistent
+    assert not socle_check(ctx)
+    assert (ctx.piece(8).dim, ctx.piece(9).dim) == (6, 6)
+
+
+def test_socle_check_monomial_beyond_the_dimension_guard():
+    # R^43 of fermat(5, 8) has 13,983,816 ambient monomials.
+    ctx = JacobianContext.fermat(5, 8)
+    assert graded_dimension(ctx.num_vars, ctx.socle_degree + 1) > SOCLE_DIMENSION_GUARD
+    assert socle_check(ctx)
+    assert ctx._pieces == {}
 
 
 def test_projector_kills_ideal_monomials(sextic):
