@@ -482,7 +482,11 @@ def theta(chart: ChartData, w_part: Matrix, parts: Sequence[Matrix]) -> Integral
         h_to, h_from = shape.slot_shape(m)
         if pm.shape != (k, h_to * h_from):
             raise PreconditionError(f"slot-{m} part has the wrong shape")
-    slot0_rows = chart.e0.basis + w_part @ chart.w.basis
+    # W's rows are the unit rows at its pivots, so w_part @ W is w_part's
+    # columns placed there, with a zero column everywhere else.
+    at = {c: i for i, c in enumerate(chart.w.pivots)}
+    padded = Matrix.hstack([w_part, Matrix.zeros(field, k, 1)])
+    slot0_rows = chart.e0.basis + padded.col_select([at.get(j, chart.w.dim) for j in range(chart.e0.ambient_dimension)])
     free_maps = [_row_maps(slot0_rows, shape.slot_shape(0))]
     free_maps += [_row_maps(pm, shape.slot_shape(m)) for m, pm in enumerate(parts, start=1)]
     elements = [complete_horizontal(shape, field, free) for free in zip(*free_maps)]

@@ -1,16 +1,15 @@
 """Graded pieces of Jacobian rings R = S / (df/dx_0, ..., df/dx_{N-1}).
 
 Each graded piece is presented by its standard monomials (non-pivot columns
-of the row-reduced ideal piece) and its normal form: an index from each
-ambient monomial to its class and, for dense pieces, the reduced pivot block
-(``linalg.normal_form``).  Products with classes are applied by scatter:
-classes(cols) @ M adds each row of M into the row of its standard class,
-drops it at class zero, and sends only the rows at pivot classes through one
-product with the reduced block, without building classes(cols).  Monomial
-ideals (Fermat fixtures) take a combinatorial path: the ideal piece is
-spanned by distinct monomials, so ranks are set counts and pivot monomials
-have class zero.  Everything else goes through exact dense elimination,
-guarded by the entry budget.
+of the row-reduced ideal piece) and its normal form, a ``linalg.QuotientMap``
+from the ambient monomials onto the classes, which alone knows how classes
+are encoded.  Products with classes are applied by its scatter: the
+multiplication maps and classes(cols) @ M are sums of (monomial, column,
+coefficient) triplets, and classes(cols) is built only where a class matrix
+is needed.  Monomial ideals (Fermat fixtures) take a combinatorial path: the
+ideal piece is spanned by distinct monomials, so ranks are set counts and
+pivot monomials have class zero.  Everything else goes through exact dense
+elimination, guarded by the entry budget.
 
 f is smooth exactly when the partials have no common zero, that is when
 R = S/J is Artinian, which the single piece R^(sigma+1) = 0 decides for
@@ -30,7 +29,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError, check_dense_budget
 from .fields import FieldSpec, Scalar, default_prime_field
-from .linalg import Matrix, normal_form
+from .linalg import Matrix, QuotientMap
 from .polyring import (
     Exponents,
     HomogeneousPoly,
@@ -105,7 +104,7 @@ class JacobianContext:
             if not self.has_monomial_ideal:
                 raise PreconditionError("generators are not all monomials")
             return self._build_piece_monomial(m, amb, src_deg)
-        return self._build_piece_dense(m, amb, src_deg)
+        return self._build_piece_dense(m, amb)
 
     def _build_piece_monomial(self, m: int, amb: MonomialBasis, src_deg: int) -> "GradedQuotientPiece":
         src = basis(self.num_vars, src_deg)
@@ -115,29 +114,32 @@ class JacobianContext:
         pivots = sorted(set(amb.sum_index(src.monomials, terms).ravel().tolist()))
         return _piece_from_pivots(self.field, m, amb, pivots, None)
 
-    def _build_piece_dense(self, m: int, amb: MonomialBasis, src_deg: int) -> "GradedQuotientPiece":
-        src = basis(self.num_vars, src_deg)
+    def _build_piece_dense(self, m: int, amb: MonomialBasis) -> "GradedQuotientPiece":
+        rref, pivots = self._ideal_matrix(amb).rref()
+        return _piece_from_pivots(self.field, m, amb, pivots, rref)
+
+    def _ideal_matrix(self, amb: MonomialBasis) -> Matrix:
+        """The ideal piece in the degree of ``amb``, at least d - 1: one row
+        per generator times monomial, one column per ambient monomial."""
+        src = basis(self.num_vars, amb.degree - (self.d - 1))
         nrows = src.dim * self.num_vars
-        check_dense_budget(nrows, amb.dim, what=f"ideal piece in degree {m}")
+        check_dense_budget(nrows, amb.dim, what=f"ideal piece in degree {amb.degree}")
         entries = []
         for gi, g in enumerate(self.generators):
             terms = list(g.terms())
             cols = amb.sum_index(src.monomials, [t for t, _ in terms])
             for s, row in enumerate(cols.tolist()):
                 entries += [(gi * src.dim + s, j, c) for j, (_, c) in zip(row, terms)]
-        rref, pivots = Matrix.from_entries(self.field, nrows, amb.dim, entries).rref()
-        return _piece_from_pivots(self.field, m, amb, pivots, rref)
+        return Matrix.from_entries(self.field, nrows, amb.dim, entries)
 
 
 def _piece_from_pivots(
     fld: FieldSpec, m: int, amb: MonomialBasis, pivots: Sequence[int], rref: Matrix | None
 ) -> "GradedQuotientPiece":
     """The quotient piece of an ideal piece with the given pivot columns and
-    reduced rows ``rref`` (None: unit rows); see ``normal_form``."""
-    class_col, reduced = normal_form(fld, amb.dim, pivots, rref)
-    class_col.flags.writeable = False
+    reduced rows ``rref`` (None: unit rows)."""
     std = tuple(amb.monomials[j] for j in np.delete(np.arange(amb.dim), list(pivots)).tolist())
-    return GradedQuotientPiece(fld, m, amb, len(pivots), std, class_col, reduced)
+    return GradedQuotientPiece(fld, m, amb, len(pivots), std, QuotientMap.of_rref(fld, amb.dim, pivots, rref))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,9 +151,8 @@ class GradedQuotientPiece:
     ambient: MonomialBasis
     ideal_rank: int
     standard_monomials: tuple[Exponents, ...]
-    # ``normal_form``: class of ambient monomial j = column _class_col[j] of [I | _reduced]
-    _class_col: np.ndarray = dc_field(repr=False)
-    _reduced: Matrix = dc_field(repr=False)
+    # Ambient monomials onto standard-monomial coordinates.
+    quotient: QuotientMap = dc_field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -159,34 +160,29 @@ class GradedQuotientPiece:
 
     def classes(self, cols) -> Matrix:
         """dim x len(cols): column c is the class of ambient monomial cols[c]."""
-        return self._reduced.augmented_col_select(self._at(cols))
+        return self.quotient.classes(cols)
 
     def classes_matmul(self, cols, m: Matrix) -> Matrix:
-        """``classes(cols) @ m`` by scatter, without building ``classes(cols)``."""
-        return self._reduced.augmented_matmul(self._at(cols), m)
+        """``classes(cols) @ m`` by scatter, without building ``classes(cols)``:
+        column v sums m[r, v] times the class of cols[r]."""
+        return self.quotient.scatter([cols], m.transpose())
 
     def class_sums(self, cols, coeffs: Sequence[Scalar]) -> Matrix:
         """dim x len(cols) for a 2-d ``cols``: column u is the sum over k of
         coeffs[k] times the class of ambient monomial cols[u, k]."""
-        return self._reduced.augmented_col_sums(self._at(cols), coeffs)
+        return self.quotient.scatter(cols, Matrix.from_rows(self.field, [list(coeffs)], cols=len(coeffs)))
 
     def nonzero_classes(self, cols) -> np.ndarray:
         """Boolean array shaped like ``cols``: whether each ambient monomial
         has a nonzero class."""
-        # Standard classes, then the reduced columns, then False for class -1.
-        hit = np.concatenate([np.ones(self.dim, dtype=bool), self._reduced.nonzero_columns(), [False]])
-        return hit[self._at(cols)]
-
-    def _at(self, cols) -> np.ndarray:
-        return self._class_col[np.asarray(cols, dtype=np.intp)]
+        return self.quotient.nonzero(cols)
 
     def project_poly(self, g: HomogeneousPoly) -> list[Scalar]:
         """Coordinates of [g] in the standard-monomial basis."""
         if g.degree != self.degree or g.num_vars != self.ambient.num_vars:
             raise PreconditionError("polynomial does not live in this piece")
         support = [j for j, c in enumerate(g.coeffs) if c != 0]
-        coeffs = Matrix.from_rows(self.field, [[g.coeffs[j]] for j in support], cols=1)
-        return self.classes_matmul(support, coeffs).flatten()
+        return self.class_sums([support], [g.coeffs[j] for j in support]).flatten()
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +279,8 @@ def socle_check(ctx: JacobianContext) -> bool:
     Hilbert series ((1-t^(d-1))/(1-t))^(n+2), whose top coefficient is 1 in
     degree sigma, in every characteristic.  A monomial ideal is Artinian iff
     each variable has a nonzero pure-power generator, a set test that builds
-    no piece; any other ideal builds the one piece R^(sigma+1).
+    no piece; any other ideal ranks its degree-(sigma+1) matrix and caches
+    no piece.
     """
     if ctx.has_monomial_ideal:
         powers = {i for g in ctx.generators for e, _ in g.terms() for i, k in enumerate(e) if k == sum(e)}
@@ -295,7 +292,9 @@ def socle_check(ctx: JacobianContext) -> bool:
             f"socle check needs the degree-{sigma + 1} piece of dimension {amb_dim}, "
             f"beyond the guard of {SOCLE_DIMENSION_GUARD}"
         )
-    return ctx.piece(sigma + 1).dim == 0
+    # R^(sigma+1) = 0 iff the ideal fills its ambient space.  sigma + 1 =
+    # (n+2)(d-2) + 1 is at least d - 1, so the ideal piece has rows.
+    return ctx._ideal_matrix(basis(ctx.num_vars, sigma + 1)).rank() == amb_dim
 
 
 @dataclass(frozen=True)

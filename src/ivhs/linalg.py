@@ -418,13 +418,13 @@ class Matrix:
     over F_p, ``dtype=object`` holding Fractions over Q.  Selection,
     stacking, reshaping and comparison are the same numpy operations over
     both fields.  Only these look at the field: ``_reduced`` (the
-    mod-p reduction after +, -, negation, scaling and ``from_entries``)
-    and ``_reduced_at`` (after the scatters of the ``augmented_*`` products),
+    mod-p reduction after +, -, negation, scaling and ``from_entries``),
     ``_zeros``, the product (``_fp_matmul`` or object ``@``) and
     elimination (the F_p kernels or ``_q_rref``); ``array`` and
     ``from_array`` exist over F_p only.  Elimination is deterministic
     (first nonzero pivot), so rref, pivot columns, and kernel bases are
-    canonical for given input.
+    canonical for given input.  Classes modulo a row space, gathered or
+    scattered, belong to ``QuotientMap``.
     """
 
     __slots__ = ("field", "_a")
@@ -439,14 +439,6 @@ class Matrix:
         """Wrap a fresh array, reducing it into [0, p) in place over F_p."""
         if field.is_prime_field:
             np.remainder(arr, field.modulus, out=arr)
-        return Matrix(field, arr)
-
-    @staticmethod
-    def _reduced_at(field: FieldSpec, arr: np.ndarray, at) -> "Matrix":
-        """``_reduced`` for an array whose entries off the index ``at``
-        already lie in [0, p): only those at ``at`` are reduced."""
-        if field.is_prime_field:
-            arr[at] %= field.modulus
         return Matrix(field, arr)
 
     # -- constructors ------------------------------------------------------
@@ -491,7 +483,9 @@ class Matrix:
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
-        return Matrix.zeros(field, n, 0).augmented_col_select(range(n))
+        arr = _zeros(field, (n, n))
+        np.fill_diagonal(arr, field.one())
+        return Matrix(field, arr)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -535,65 +529,6 @@ class Matrix:
 
     def col_select(self, indices: Sequence[int]) -> "Matrix":
         return Matrix(self.field, self._a[:, np.asarray(indices, dtype=np.intp)])
-
-    def augmented_col_select(self, indices: Sequence[int]) -> "Matrix":
-        """Columns ``indices`` of [I | self], I the rows x rows identity, which
-        is never built: index j < rows picks the unit column e_j, j >= rows
-        picks column j - rows of self, and a negative index a zero column."""
-        idx = np.asarray(indices, dtype=np.intp)
-        unit, right = self._augmented_split(idx)
-        out = _zeros(self.field, (self.rows, idx.size))
-        out[:, right] = self._a[:, idx[right] - self.rows]
-        out[idx[unit], unit] = self.field.one()
-        return Matrix(self.field, out)
-
-    def augmented_matmul(self, indices: Sequence[int], other: "Matrix") -> "Matrix":
-        """``self.augmented_col_select(indices) @ other``, selection unbuilt:
-        row r of ``other`` is added into row indices[r] when that is below
-        ``rows`` and dropped when it is negative; the rows at the other
-        indices go through one product with the columns of self they pick."""
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.size != other.rows:
-            raise PreconditionError(f"{idx.size} indices for {other.rows} rows")
-        unit, right = self._augmented_split(idx)
-        out = self._augmented_base(idx[right], other.row_select(right) if right.size else None, other.cols)
-        np.add.at(out, idx[unit], other._a[unit])
-        return Matrix._reduced_at(self.field, out, idx[unit])
-
-    def augmented_col_sums(self, indices, coeffs: Sequence[Scalar]) -> "Matrix":
-        """rows x len(indices) for a 2-d ``indices``: column u is the sum over
-        j of coeffs[j] (field elements) times column indices[u, j] of
-        [I | self], read as in ``augmented_col_select``.  Unit columns are
-        scattered; those of self go through one product, as in
-        ``augmented_matmul``."""
-        idx = np.asarray(indices, dtype=np.intp)
-        width, k = idx.shape
-        vals = _zeros(self.field, (width, k))
-        vals[:] = coeffs
-        idx, vals, cols = idx.ravel(), vals.ravel(), np.arange(width).repeat(k)
-        unit, right = self._augmented_split(idx)
-        s = None
-        if right.size:
-            s = _zeros(self.field, (right.size, width))
-            s[np.arange(right.size), cols[right]] = vals[right]
-            s = Matrix(self.field, s)
-        out = self._augmented_base(idx[right], s, width)
-        at = idx[unit], cols[unit]
-        np.add.at(out, at, vals[unit])
-        return Matrix._reduced_at(self.field, out, at)
-
-    def _augmented_split(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of ``idx`` that pick a unit column of [I | self], and
-        those that pick a column of self."""
-        n = self.rows
-        return ((0 <= idx) & (idx < n)).nonzero()[0], (idx >= n).nonzero()[0]
-
-    def _augmented_base(self, right_idx: np.ndarray, rows: "Matrix | None", width: int) -> np.ndarray:
-        """A fresh writable rows x ``width`` array: the columns ``right_idx``
-        of [I | self], all past I, times ``rows``; zeros when ``rows`` is None."""
-        if rows is None:
-            return _zeros(self.field, (self.rows, width))
-        return (self.col_select(right_idx - self.rows) @ rows)._a.copy()
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
         """The same entries, read in row-major order, regrouped into rows x cols."""
@@ -653,10 +588,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not self._a.any()
 
-    def nonzero_columns(self) -> np.ndarray:
-        """Boolean mask of the columns that hold a nonzero entry."""
-        return (self._a != 0).any(axis=0)
-
     def __repr__(self) -> str:
         return f"Matrix({self.field.kind}, {self.rows}x{self.cols})"
 
@@ -680,11 +611,10 @@ class Matrix:
         """Matrix whose columns span the right kernel; cols == cols - rank.
 
         Its transpose is the quotient map onto F^cols / rowspace in the
-        coordinates of the non-pivot columns (``normal_form``).
+        coordinates of the non-pivot columns (``QuotientMap``).
         """
         r, pivots = self.rref()
-        at, reduced = normal_form(self.field, self.cols, pivots, r)
-        return reduced.augmented_col_select(at).transpose()
+        return QuotientMap.of_rref(self.field, self.cols, pivots, r).classes(range(self.cols)).transpose()
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -740,25 +670,6 @@ def random_matrix(field: FieldSpec, rows: int, cols: int, seed) -> Matrix:
     return Matrix(field, arr)
 
 
-def coordinates_in_rowspace(basis: Matrix, vector: Sequence[Scalar]) -> list[Scalar] | None:
-    """Coefficients c with c @ basis == vector, or None if unsolvable.
-
-    ``basis`` rows need not be independent; when they are, the coordinates
-    are unique.
-    """
-    field = basis.field
-    vec = Matrix.from_rows(field, [list(vector)], cols=basis.cols)
-    aug = Matrix.hstack([basis.transpose(), vec.transpose()])
-    r, pivots = aug.rref()
-    k = basis.rows
-    if any(c == k for c in pivots):
-        return None
-    coords = [field.zero()] * k
-    for i, c in enumerate(pivots):
-        coords[c] = r.entry(i, k)
-    return coords
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of row vectors in canonical (RREF-basis) form.
@@ -783,41 +694,89 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
+class QuotientMap:
+    """F^n -> F^n / rowspace(R) for the rank rows R of an RREF, in the
+    coordinates of the non-pivot (free) columns.
 
-    def contains(self, vector: Sequence[Scalar]) -> bool:
-        return coordinates_in_rowspace(self.basis, vector) is not None
-
-    def intersects_trivially(self, other: "Subspace") -> bool:
-        if self.ambient_dimension != other.ambient_dimension:
-            raise PreconditionError("ambient dimensions differ")
-        if self.dim == 0 or other.dim == 0:
-            return True
-        stacked = Matrix.vstack([self.basis, other.basis])
-        return stacked.rank() == self.dim + other.dim
-
-    def is_complement_of(self, other: "Subspace") -> bool:
-        return (
-            self.ambient_dimension == other.ambient_dimension
-            and self.dim + other.dim == self.ambient_dimension
-            and self.intersects_trivially(other)
-        )
-
-
-def normal_form(field: FieldSpec, n: int, pivots: Sequence[int], rref: Matrix | None) -> tuple[np.ndarray, Matrix]:
-    """F^n / rowspace(rref) in non-pivot coordinates, as (at, reduced): the
-    class of e_j is column at[j] of [I | reduced], or zero where at[j] is -1.
-
-    ``rref`` is the rank rows of an RREF with these pivots, or None for unit
-    rows; the class of the k-th pivot is minus row k at the other columns.
+    The class of e_j is column ``_at[j]`` of [I | ``_reduced``], I the
+    dim x dim identity, which is never built, and zero where ``_at[j]`` is
+    -1: a free column's class is its unit vector, and the k-th pivot's is
+    minus row k of R at the free columns, or zero when R is None (unit
+    rows).  Only the three readers ``classes``, ``scatter`` and ``nonzero``
+    look at that encoding.
     """
-    pivots = np.asarray(pivots, dtype=np.intp)
-    free = np.delete(np.arange(n), pivots)
-    at = np.full(n, -1, dtype=np.intp)
-    at[free] = np.arange(free.size)
-    if rref is None:
-        return at, Matrix.zeros(field, free.size, 0)
-    at[pivots] = free.size + np.arange(pivots.size)
-    return at, (-rref.col_select(free)).transpose()
+
+    __slots__ = ("field", "dim", "_at", "_reduced")
+
+    def __init__(self, field: FieldSpec, at: np.ndarray, reduced: np.ndarray):
+        at.flags.writeable = False
+        reduced.flags.writeable = False
+        self.field = field
+        self.dim = reduced.shape[0]
+        self._at = at
+        self._reduced = reduced
+
+    @staticmethod
+    def of_rref(field: FieldSpec, n: int, pivots: Sequence[int], rref: Matrix | None) -> "QuotientMap":
+        """The quotient by the rows ``rref`` with these pivot columns, or by
+        the unit rows at ``pivots`` when ``rref`` is None."""
+        pivots = np.asarray(pivots, dtype=np.intp)
+        free = np.delete(np.arange(n), pivots)
+        at = np.full(n, -1, dtype=np.intp)
+        at[free] = np.arange(free.size)
+        if rref is None:
+            return QuotientMap(field, at, _zeros(field, (free.size, 0)))
+        at[pivots] = free.size + np.arange(pivots.size)
+        return QuotientMap(field, at, (-rref.col_select(free)).transpose()._a)
+
+    def classes(self, cols) -> Matrix:
+        """dim x len(cols): column c is the class of e_{cols[c]}."""
+        at = self._at[np.asarray(cols, dtype=np.intp)]
+        out = _zeros(self.field, (self.dim, at.size))
+        right = (at >= self.dim).nonzero()[0]
+        out[:, right] = self._reduced[:, at[right] - self.dim]
+        unit = ((0 <= at) & (at < self.dim)).nonzero()[0]
+        out[at[unit], unit] = self.field.one()
+        return Matrix(self.field, out)
+
+    def scatter(self, cols, coeffs: Matrix) -> Matrix:
+        """dim x w: column u is the sum over k of coeffs[u, k] times the class
+        of e_{cols[u, k]}, for w x K tables ``cols`` and ``coeffs`` of which
+        either may have a single row that stands for every row.
+
+        Only the triplets (cols[u, k], u, coeffs[u, k]) with a nonzero
+        coefficient and class are scattered: a unit class adds its
+        coefficient to one entry, a pivot class a column of ``_reduced``
+        times its coefficient.  Every term is reduced mod p before the sums,
+        so int64 holds any sum of fewer than 2^62 / p terms, and afterwards
+        only the entries hit are reduced.
+        """
+        at, c = self._at[np.asarray(cols, dtype=np.intp)], coeffs._a
+        live = (at >= 0) & (c != 0)
+        width, k = live.shape
+        t = np.flatnonzero(live)
+        u, j = np.divmod(t, k)
+        at, c = (x.ravel()[t if x.shape[0] > 1 else j] for x in (at, c))
+        hit, vals = at * width + u, c
+        if self._reduced.shape[1]:  # pivot classes live in _reduced
+            right = at >= self.dim
+            terms = self._reduced[:, at[right] - self.dim] * c[right]
+            if self.field.is_prime_field:
+                terms %= self.field.modulus
+            hit = np.concatenate([hit[~right], (np.arange(self.dim)[:, None] * width + u[right]).ravel()])
+            vals = np.concatenate([c[~right], terms.ravel()])
+        out = _zeros(self.field, (self.dim, width))
+        flat = out.reshape(-1)
+        np.add.at(flat, hit, vals)
+        if self.field.is_prime_field:
+            flat[hit] %= self.field.modulus
+        return Matrix(self.field, out)
+
+    def nonzero(self, cols) -> np.ndarray:
+        """Boolean array shaped like ``cols``: whether e_j has a nonzero class."""
+        # Unit classes, then the reduced columns, then False for index -1.
+        hit = np.concatenate([np.ones(self.dim, dtype=bool), (self._reduced != 0).any(axis=0), [False]])
+        return hit[self._at[np.asarray(cols, dtype=np.intp)]]
 
 
 def standard_complement(space: Subspace) -> Subspace:
@@ -825,5 +784,6 @@ def standard_complement(space: Subspace) -> Subspace:
     n = space.ambient_dimension
     free = np.delete(np.arange(n), np.asarray(space.pivots, dtype=np.intp))
     # Unit rows in increasing column order are already in RREF.
-    units = Matrix.zeros(space.field, n, 0).augmented_col_select(free).transpose()
-    return Subspace(space.field, n, units, tuple(free.tolist()))
+    units = _zeros(space.field, (free.size, n))
+    units[np.arange(free.size), free] = space.field.one()
+    return Subspace(space.field, n, Matrix(space.field, units), tuple(free.tolist()))

@@ -422,7 +422,9 @@ class TestChart:
         # coordinate one
         shift = Matrix.vstack([self.e0.basis.row_select([0]), Matrix.zeros(F, self.w.dim - 1, 6)])
         other = Subspace.from_rows(F, self.w.basis + shift)
-        assert other.is_complement_of(self.e0) and other != self.w
+        # dim W' + dim E0 = 6 and the stacked bases have rank 6.
+        assert other.dim + self.e0.dim == 6 and other != self.w
+        assert Matrix.vstack([other.basis, self.e0.basis]).rank() == 6
         with pytest.raises(PreconditionError):
             ChartData(self.shape, F, self.e0, other)
         cand = build_transpose_element(self.e0, self.shape, F)

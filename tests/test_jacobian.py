@@ -173,23 +173,29 @@ def _scatter_cases(piece, rng):
     return [picks + picks[:3] + picks[-2:], picks[::-1], []]
 
 
+def _sums_by_gathers(piece, cols, coeffs):
+    """class_sums as the sum over k of coeffs[k] times the class matrix of
+    the column cols[:, k]."""
+    out = Matrix.zeros(piece.field, piece.dim, cols.shape[0])
+    for k, c in enumerate(coeffs):
+        out = out + piece.classes(cols[:, k]).scale(c)
+    return out
+
+
 def _mult_map_by_gathers(ctx, g, a):
     """The map [u] -> [g u] as the sum over the terms c x^t of g of c times
     the class matrix of the monomials u x^t."""
     src, tgt = ctx.piece(a), ctx.piece(a + g.degree)
     terms = list(g.terms())
     cols = tgt.ambient.sum_index(src.standard_monomials, [t for t, _ in terms])
-    out = Matrix.zeros(ctx.field, tgt.dim, src.dim)
-    for k, (_, c) in enumerate(terms):
-        out = out + tgt.classes(cols[:, k]).scale(c)
-    return out
+    return _sums_by_gathers(tgt, cols, [c for _, c in terms])
 
 
 @FIELDS
 @pytest.mark.parametrize("name", list(NORMAL_FORM_FIXTURES))
 def test_scatter_paths_match_class_matrices(name, field):
-    # classes_matmul, multiplication_map and nonzero_classes against the
-    # class matrices they avoid building.
+    # classes_matmul, class_sums, multiplication_map and nonzero_classes
+    # against the class matrices they avoid building.
     ctx = NORMAL_FORM_FIXTURES[name](field)
     rng = np.random.default_rng((7, ctx.num_vars, ctx.d))
     for m in range(ctx.d - 1, ctx.d + 3):
@@ -209,6 +215,30 @@ def test_scatter_paths_match_class_matrices(name, field):
     q_cols = ctx.piece(top_deg).ambient.sum_index(ctx.piece(b).standard_monomials, ctx.piece(ctx.d).standard_monomials)
     got = ctx.piece(top_deg).nonzero_classes(q_cols).any(axis=0).tolist()
     assert got == [not ctx.piece(top_deg).classes(q_cols[:, g]).is_zero() for g in range(q_cols.shape[1])]
+    # One column summing many pivot-class terms: the pivot monomial whose
+    # class has the largest entry, repeated, with coefficients near the
+    # int64 prime and a zero one.  At p = 2147483629 three such terms,
+    # unreduced, overflow int64.
+    big = 2147483629
+    coeffs = [big - 1, big - 2, 0, big - 3, big - 4, big - 5]
+    overflows = False
+    for m in range(ctx.d - 1, ctx.d + 3):
+        piece = ctx.piece(m)
+        std = [piece.ambient.index(e) for e in piece.standard_monomials]
+        pivots = sorted(set(range(piece.ambient.dim)) - set(std))
+        table = piece.classes(pivots).to_rows()
+        size = lambda j: max((abs(row[j]) for row in table), default=0)
+        heavy = pivots[max(range(len(pivots)), key=size)]
+        mix = pivots + std
+        cols = np.array(
+            [[heavy] * 6, [heavy, mix[0], heavy, mix[-1], heavy, mix[0]], [mix[i % len(mix)] for i in range(6)]]
+        )
+        overflows |= size(pivots.index(heavy)) * sum(field.coerce(c) for c in coeffs) >= 2**63
+        assert piece.class_sums(cols, coeffs) == _sums_by_gathers(piece, cols, coeffs), m
+        mat = Matrix.from_rows(field, [[c, 0, coeffs[-1 - k % 6]] for k, c in enumerate(coeffs * 3)])
+        assert piece.classes_matmul(cols.ravel(), mat) == piece.classes(cols.ravel()) @ mat, m
+    if field == FieldSpec.prime(big) and not ctx.has_monomial_ideal:
+        assert overflows
 
 
 def _socle_two_pieces(ctx):
@@ -241,8 +271,9 @@ SOCLE_FIXTURES = {
 def test_socle_check_matches_two_piece_definition(name, field):
     ctx = SOCLE_FIXTURES[name](field)
     got = socle_check(ctx)
-    # A monomial ideal builds no piece; any other ideal only R^(sigma+1).
-    assert set(ctx._pieces) == (set() if ctx.has_monomial_ideal else {ctx.socle_degree + 1})
+    # A monomial ideal builds no matrix; any other ideal only ranks its
+    # degree-(sigma+1) matrix.  Neither caches a piece.
+    assert ctx._pieces == {}
     assert got == _socle_two_pieces(SOCLE_FIXTURES[name](field))
     assert got == (name != "x0^6")
 
