@@ -27,7 +27,7 @@ import numpy as np
 from .errors import BudgetExceededError, PreconditionError, unknowns_budget
 from .fields import FieldSpec, default_prime_field
 from .hodge import HodgeShape, IntegralElementCandidate, check_integral, project, theta_inverse, ChartData
-from .linalg import Matrix, Subspace, random_matrix, standard_complement
+from .linalg import Matrix, QuotientMap, Subspace, random_matrix, standard_complement
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,9 @@ def symmetrizer_system(e: SubspaceE) -> Matrix:
     # Blocks of g0 rows: t(alpha_0..alpha_{k-1}), their negatives, then zero.
     at = Matrix.vstack([alpha.transpose() for alpha in e.basis])
     blocks = Matrix.vstack([at, -at, Matrix.zeros(s.field, s.g0, s.g1)])
-    a, b = (x[:, None] for x in np.triu_indices(k, 1))
-    c = np.arange(k)[None, :]
+    i = np.arange(k)
+    a, b = (x[:, None] for x in np.nonzero(i[:, None] < i))  # pairs a < b, row-major
+    c = i[None, :]
     block = np.where(c == b, a, np.where(c == a, k + b, 2 * k))  # (pair, column group)
     index = block[:, None, :] * s.g0 + np.arange(s.g0)[None, :, None]  # (pair, j, column group)
     return blocks.row_select(index.ravel()).reshape(n_rows, k * s.g1)
@@ -123,7 +124,12 @@ class SymmetrizerSpace:
 
 
 def symmetrizer_space(e: SubspaceE, max_unknowns: int | None = None) -> SymmetrizerSpace:
-    """Solve the symmetrizer system exactly and re-verify every kernel element."""
+    """Solve the symmetrizer system exactly.
+
+    A system with full column rank has a zero kernel, proven by that one
+    rank.  Otherwise the system is reduced to RREF and every kernel element
+    is re-verified against the symmetrizer identity.
+    """
     s = e.setting
     cap = unknowns_budget() if max_unknowns is None else max_unknowns
     # Counted over all of q, the width of each basis element, so that k = 1
@@ -134,11 +140,19 @@ def symmetrizer_space(e: SubspaceE, max_unknowns: int | None = None) -> Symmetri
             f"symmetrizer system has {n_unknowns} unknowns, beyond the cap of {cap} "
             "(raise IVHS_MAX_UNKNOWNS to override)"
         )
-    kernel = symmetrizer_system(e).kernel_basis().transpose()  # one row of q per row
-    # Row j is free at its last nonzero entry a_j*g1 + t_j; the g2-fold kernel
-    # lists its vectors by free unknown (a, i, t), row j placed in row i of q.
-    free = [max(c for c, x in enumerate(row) if x) for row in kernel.to_rows()]
-    order = sorted((free[j] // s.g1, i, j) for j in range(kernel.rows) for i in range(s.g2))
+    system = symmetrizer_system(e)
+    n = system.cols
+    # A wide system has a kernel by counting, so only a tall or square one is
+    # ranked first.
+    if system.rows >= n and system.rank() == n:
+        return SymmetrizerSpace(e, 0, ())
+    r, pivots = system.rref()
+    kernel = QuotientMap.of_rref(s.field, n, pivots, r).classes(range(n))  # one row of q per row
+    # Row j is free at the j-th non-pivot column a_j*g1 + t_j; the g2-fold
+    # kernel lists its vectors by free unknown (a, i, t), row j placed in row
+    # i of q.
+    group = np.delete(np.arange(n), pivots) // s.g1
+    order = sorted((group[j], i, j) for j in range(kernel.rows) for i in range(s.g2))
     zero = Matrix.zeros(s.field, e.k, s.g1)
     basis = tuple(
         Matrix.hstack([zero] * i + [kernel.row_select([j]).reshape(e.k, s.g1)] + [zero] * (s.g2 - 1 - i))
@@ -230,7 +244,7 @@ def _pad_cols(m: Matrix, total_cols: int) -> Matrix:
 
 def _sampled_divisible_witness(
     g0: int, copies: int, g2: int, field: FieldSpec, seed_path: tuple[int, ...]
-) -> list[Matrix]:
+) -> SubspaceE:
     """A verified dim-3*copies subspace of Hom(G^0, (G^0)^copies) with zero
     symmetrizer space.  Sampled, then checked exactly; resampled on the
     rare failure."""
@@ -246,7 +260,7 @@ def _sampled_divisible_witness(
         except PreconditionError:
             continue
         if symmetrizer_space(cand).dimension == 0:
-            return mats
+            return cand
     raise AssertionError(
         f"no verified witness after 64 attempts for (g0={g0}, copies={copies}, g2={g2})"
     )
@@ -259,7 +273,9 @@ def prop4_construction(setting: CompositionSetting, seed: int = 0) -> SubspaceE:
         3p - 1  if the fractional block is a line (and p > 1),
         2       if g1 = 1 (p = 1, rank-one pair),
 
-    where p = ceil(g1 / g0).  Every returned witness is re-verified exactly.
+    where p = ceil(g1 / g0).  Every returned witness is verified exactly: a
+    divisible one is the sampled subspace its check solved, and a direct sum
+    is solved once more as a whole.
     """
     g0, g1, g2, field = setting.g0, setting.g1, setting.g2, setting.field
     if g0 < 2:
@@ -267,25 +283,20 @@ def prop4_construction(setting: CompositionSetting, seed: int = 0) -> SubspaceE:
     if g1 < 1:
         raise PreconditionError("construction needs dim G^1 >= 1")
     p = setting.p
-    mats: list[Matrix]
     if g1 == p * g0:
-        mats = _sampled_divisible_witness(g0, p, g2, field, (seed, 0))
+        return _sampled_divisible_witness(g0, p, g2, field, (seed, 0))
+    tail = g1 - (p - 1) * g0  # dimension of the fractional block, in [1, g0)
+    if tail == 1:
+        tail_maps = list(lemma3_rank_one_construction(g0, g2, field).basis)
     else:
-        tail = g1 - (p - 1) * g0  # dimension of the fractional block, in [1, g0)
-        tail_maps: list[Matrix]
-        if tail == 1:
-            pair = lemma3_rank_one_construction(g0, g2, field)
-            tail_maps = list(pair.basis)
-        else:
-            small = _sampled_divisible_witness(tail, 1, g2, field, (seed, 1))
-            tail_maps = [_pad_cols(m, g0) for m in small]
-        tail_maps = [_pad_rows(m, g1, (p - 1) * g0) for m in tail_maps]
-        free_maps: list[Matrix] = []
-        if p > 1:
-            free = _sampled_divisible_witness(g0, p - 1, g2, field, (seed, 2))
-            free_maps = [_pad_rows(m, g1, 0) for m in free]
-        mats = free_maps + tail_maps
-    out = SubspaceE(setting, tuple(mats))
+        small = _sampled_divisible_witness(tail, 1, g2, field, (seed, 1))
+        tail_maps = [_pad_cols(m, g0) for m in small.basis]
+    tail_maps = [_pad_rows(m, g1, (p - 1) * g0) for m in tail_maps]
+    free_maps: list[Matrix] = []
+    if p > 1:
+        free = _sampled_divisible_witness(g0, p - 1, g2, field, (seed, 2))
+        free_maps = [_pad_rows(m, g1, 0) for m in free.basis]
+    out = SubspaceE(setting, tuple(free_maps + tail_maps))
     if symmetrizer_space(out).dimension != 0:
         if seed < 16:
             return prop4_construction(setting, seed=seed + 101)

@@ -202,6 +202,33 @@ class TestSymmCommand:
         assert report["symmetrizer_dimension"] == 0
         assert report["k"] == 5
 
+    @pytest.mark.parametrize(
+        "argv,report",
+        [
+            (
+                ["--construction", "prop4", "--dims", "2", "4", "1", "--seed", "1"],
+                {"construction": "prop4", "g0": 2, "g1": 4, "g2": 1, "k": 6, "symmetrizer_dimension": 0},
+            ),
+            (
+                ["--construction", "prop4", "--dims", "2", "3", "1", "--seed", "1"],
+                {"construction": "prop4", "g0": 2, "g1": 3, "g2": 1, "k": 5, "symmetrizer_dimension": 0},
+            ),
+            (
+                ["--dims", "2", "2", "2", "--k", "3", "--trials", "20", "--seed", "7"],
+                {
+                    "dimensions": [0] * 20, "g0": 2, "g1": 2, "g2": 2, "k": 3, "seed": 7,
+                    "threshold": 3, "trials": 20, "zero_fraction": 1.0,
+                },
+            ),
+        ],
+        ids=["prop4-divisible", "prop4-fractional", "random"],
+    )
+    def test_report_pinned(self, capsys, argv, report):
+        # Recorded output: stdout stays byte-identical across changes.
+        code, out, _ = run(capsys, ["symm", *argv])
+        assert code == 0
+        assert json.dumps(payload(out)["report"]) == json.dumps(report)
+
     def test_lemma3_construction(self, capsys):
         code, out, _ = run(
             capsys, ["symm", "--construction", "lemma3", "--dims", "4", "1", "2"]

@@ -1,6 +1,8 @@
 """Tests for symmetrizer spaces: system assembly, witness constructions,
 random experiments, and the Hodge-frame bridge."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from ivhs.hodge import (
     complete_horizontal,
     theta,
 )
+from ivhs import symmetrizers
 from ivhs.linalg import Matrix, Subspace, random_matrix, standard_complement
 from ivhs.symmetrizers import (
     CompositionSetting,
@@ -58,13 +61,15 @@ def naive_symmetrizer_rows(e: SubspaceE) -> list[list]:
 
 
 def naive_symmetrizer_dimension(e: SubspaceE) -> int:
-    """Kernel dimension of the naive rows by the naive rank oracle."""
+    """Kernel dimension of the naive rows by the naive rank oracles."""
     s = e.setting
     n_unknowns = e.k * s.g2 * s.g1
     rows = naive_symmetrizer_rows(e)
     if not rows:
         return n_unknowns
-    return n_unknowns - naive_rank_mod(rows, P)
+    if s.field.is_prime_field:
+        return n_unknowns - naive_rank_mod(rows, s.field.modulus)
+    return n_unknowns - naive_rank_fraction(rows)
 
 
 def random_subspace_e(setting, k, seed):
@@ -241,6 +246,107 @@ class TestSystem:
                 remixed.append(acc)
             e2 = SubspaceE(s, tuple(remixed))
             assert symmetrizer_dimension(e2) == base
+
+
+def integer_subspace_e(setting, k, seed, kind="random"):
+    """k independent small-integer maps over the setting's field.
+
+    ``kind`` "hyperplane": every map goes through one fixed hyperplane of G^1,
+    so every q vanishing on it is a symmetrizer.  "flag" (g0 = g1): the
+    identity and maps that keep the first g1 - 1 coordinates; their
+    commutators land there, so one row of q has a one-dimensional symmetrizer
+    space, spanned by q(1) = the last coordinate and q(alpha) = q(1) alpha.
+    """
+    g0, g1 = setting.g0, setting.g1
+    rng = np.random.default_rng(seed)
+    through = rng.integers(-3, 4, (g1, g1 - 1)) if kind == "hyperplane" else np.eye(g1, dtype=np.int64)
+    for _ in range(32):
+        arrays = [through @ rng.integers(-3, 4, (through.shape[1], g0)) for _ in range(k)]
+        if kind == "flag":
+            arrays[0] = np.eye(g1, dtype=np.int64)
+            for m in arrays[1:]:
+                m[-1, :-1] = 0
+        try:
+            return SubspaceE(setting, tuple(Matrix.from_rows(setting.field, m.tolist()) for m in arrays))
+        except PreconditionError:
+            continue
+    raise AssertionError("sampling failed")
+
+
+GATE_FIELDS = [FieldSpec.prime(10007), FieldSpec.prime(2147483629), FieldSpec.rationals()]
+
+# (g0, g1, g2, k, kind of E, system shape, symmetrizer dimension or None
+# for any positive one)
+GATE_CASES = [
+    (2, 2, 2, 4, "random", "tall", 0),  # E = Hom(G^0, G^1)
+    (3, 2, 1, 4, "random", "tall", 0),
+    (3, 2, 2, 3, "hyperplane", "tall", None),
+    (3, 3, 1, 4, "hyperplane", "tall", None),
+    (3, 3, 2, 4, "flag", "tall", 2),  # rank one short of full
+    (2, 2, 1, 3, "random", "square", 0),
+    (3, 3, 2, 3, "hyperplane", "square", None),
+    (2, 2, 2, 3, "flag", "square", 2),
+    (2, 3, 2, 2, "random", "wide", None),
+    (2, 3, 3, 3, "hyperplane", "wide", None),
+    (3, 4, 2, 1, "random", "wide", 8),  # k = 1: no rows at all
+]
+
+
+class TestRankGate:
+    @pytest.mark.parametrize("field", GATE_FIELDS, ids=lambda f: f.kind if not f.is_prime_field else str(f.modulus))
+    @pytest.mark.parametrize("case", GATE_CASES, ids=lambda c: "{}x{}x{}-k{}".format(*c[:4]))
+    def test_dimension_matches_oracle(self, field, case):
+        g0, g1, g2, k, kind, shape, want = case
+        e = integer_subspace_e(CompositionSetting(g0, g1, g2, field), k, (g0, g1, g2, k), kind)
+        system = symmetrizer_system(e)
+        assert shape == ("tall" if system.rows > system.cols else "square" if system.rows == system.cols else "wide")
+        if k == 1:
+            assert system.rows == 0
+        dim = symmetrizer_space(e).dimension
+        assert dim == naive_symmetrizer_dimension(e)
+        assert dim == want if want is not None else dim > 0
+
+    @pytest.fixture
+    def elim_calls(self, monkeypatch):
+        calls = Counter()
+        for name in ("rank", "rref", "kernel_basis"):
+            def counted(self, *args, _name=name, _orig=getattr(Matrix, name), **kwargs):
+                calls[_name] += 1
+                return _orig(self, *args, **kwargs)
+            monkeypatch.setattr(Matrix, name, counted)
+        return calls
+
+    def test_zero_space_costs_one_rank(self, elim_calls):
+        e = integer_subspace_e(CompositionSetting(2, 2, 2, F), 4, 1)
+        elim_calls.clear()
+        assert symmetrizer_space(e).dimension == 0
+        assert elim_calls == {"rank": 1}
+
+    def test_nonzero_space_is_solved_once(self, elim_calls):
+        tall = integer_subspace_e(CompositionSetting(3, 2, 2, F), 3, 2, "hyperplane")
+        wide = integer_subspace_e(CompositionSetting(2, 3, 2, F), 2, 3)
+        elim_calls.clear()
+        assert symmetrizer_space(tall).dimension > 0
+        assert elim_calls == {"rank": 1, "rref": 1}
+        elim_calls.clear()
+        assert symmetrizer_space(wide).dimension > 0
+        assert elim_calls == {"rref": 1}  # a wide system skips the rank
+
+    @pytest.mark.parametrize("dims", [(2, 4, 1), (3, 6, 2), (2, 5, 1), (3, 5, 1)])
+    def test_prop4_solves_each_subspace_once(self, monkeypatch, dims):
+        solved = []
+
+        def spy(e, *args, _orig=symmetrizers.symmetrizer_space, **kwargs):
+            solved.append(e)
+            return _orig(e, *args, **kwargs)
+
+        monkeypatch.setattr(symmetrizers, "symmetrizer_space", spy)
+        out = prop4_construction(CompositionSetting(*dims, F), seed=1)
+        # The last subspace solved is the one returned: the divisible witness
+        # itself, or the assembled direct sum.  No basis is solved twice.
+        assert solved[-1] is out
+        bases = {tuple(tuple(m.flatten()) for m in e.basis) for e in solved}
+        assert len(bases) == len(solved)
 
 
 class TestVerifyCandidate:
