@@ -4,11 +4,12 @@ Each graded piece is presented by its standard monomials (non-pivot columns
 of the row-reduced ideal piece) and its normal form, a ``linalg.QuotientMap``
 from the ambient monomials onto the classes, which alone knows how classes
 are encoded.  Products with classes are applied by its scatter: the
-multiplication maps and classes(cols) @ M are sums of (monomial, column,
-coefficient) triplets, and classes(cols) is built only where a class matrix
-is needed.  Monomial ideals (Fermat fixtures) take a combinatorial path: the
-ideal piece is spanned by distinct monomials, so ranks are set counts and
-pivot monomials have class zero.  Everything else goes through exact dense
+multiplication maps, and the products q(g) alpha(g') of the canonical
+symmetrizer check, are sums of (monomial, column, coefficient) triplets, and
+classes(cols) is built only where a class matrix is needed.  Monomial
+ideals (Fermat fixtures) take a combinatorial path: the ideal piece is
+spanned by distinct monomials, so ranks are set counts and pivot monomials
+have class zero.  Everything else goes through exact dense
 elimination, guarded by the entry budget.
 
 f is smooth exactly when the partials have no common zero, that is when
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError, check_dense_budget
 from .fields import FieldSpec, Scalar, default_prime_field
-from .linalg import Matrix, QuotientMap
+from .linalg import Matrix, QuotientMap, _zeros
 from .polyring import (
     Exponents,
     HomogeneousPoly,
@@ -122,15 +123,15 @@ class JacobianContext:
         """The ideal piece in the degree of ``amb``, at least d - 1: one row
         per generator times monomial, one column per ambient monomial."""
         src = basis(self.num_vars, amb.degree - (self.d - 1))
-        nrows = src.dim * self.num_vars
-        check_dense_budget(nrows, amb.dim, what=f"ideal piece in degree {amb.degree}")
-        entries = []
-        for gi, g in enumerate(self.generators):
-            terms = list(g.terms())
-            cols = amb.sum_index(src.monomials, [t for t, _ in terms])
-            for s, row in enumerate(cols.tolist()):
-                entries += [(gi * src.dim + s, j, c) for j, (_, c) in zip(row, terms)]
-        return Matrix.from_entries(self.field, nrows, amb.dim, entries)
+        check_dense_budget(src.dim * self.num_vars, amb.dim, what=f"ideal piece in degree {amb.degree}")
+        terms = [list(g.terms()) for g in self.generators]
+        # Term k (of all generators' terms in turn) of generator i times
+        # monomial s is row (i, s), column cols[s, k]: no position twice.
+        cols = amb.sum_index(src.monomials, [t for ts in terms for t, _ in ts])
+        gen = np.repeat(np.arange(self.num_vars), [len(ts) for ts in terms])
+        arr = _zeros(self.field, (self.num_vars, src.dim, amb.dim))
+        arr[gen, np.arange(src.dim)[:, None], cols] = [c for ts in terms for _, c in ts]
+        return Matrix(self.field, arr.reshape(-1, amb.dim))
 
 
 def _piece_from_pivots(
@@ -162,20 +163,14 @@ class GradedQuotientPiece:
         """dim x len(cols): column c is the class of ambient monomial cols[c]."""
         return self.quotient.classes(cols)
 
-    def classes_matmul(self, cols, m: Matrix) -> Matrix:
-        """``classes(cols) @ m`` by scatter, without building ``classes(cols)``:
-        column v sums m[r, v] times the class of cols[r]."""
-        return self.quotient.scatter([cols], m.transpose())
-
     def class_sums(self, cols, coeffs: Sequence[Scalar]) -> Matrix:
         """dim x len(cols) for a 2-d ``cols``: column u is the sum over k of
         coeffs[k] times the class of ambient monomial cols[u, k]."""
-        return self.quotient.scatter(cols, Matrix.from_rows(self.field, [list(coeffs)], cols=len(coeffs)))
-
-    def nonzero_classes(self, cols) -> np.ndarray:
-        """Boolean array shaped like ``cols``: whether each ambient monomial
-        has a nonzero class."""
-        return self.quotient.nonzero(cols)
+        cols = np.asarray(cols, dtype=np.intp)
+        width, k = cols.shape
+        vals = _zeros(self.field, (k,))
+        vals[:] = [self.field.coerce(c) for c in coeffs]
+        return self.quotient.scatter(width, cols.ravel(), np.repeat(np.arange(width), k), np.tile(vals, width))
 
     def project_poly(self, g: HomogeneousPoly) -> list[Scalar]:
         """Coordinates of [g] in the standard-monomial basis."""

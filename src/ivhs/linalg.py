@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -418,7 +418,7 @@ class Matrix:
     over F_p, ``dtype=object`` holding Fractions over Q.  Selection,
     stacking, reshaping and comparison are the same numpy operations over
     both fields.  Only these look at the field: ``_reduced`` (the
-    mod-p reduction after +, -, negation, scaling and ``from_entries``),
+    mod-p reduction after +, -, negation and scaling),
     ``_zeros``, the product (``_fp_matmul`` or object ``@``) and
     elimination (the F_p kernels or ``_q_rref``); ``array`` and
     ``from_array`` exist over F_p only.  Elimination is deterministic
@@ -453,20 +453,6 @@ class Matrix:
         for i, row in enumerate(rows):
             arr[i] = [field.coerce(x) for x in row]
         return Matrix(field, arr)
-
-    @staticmethod
-    def from_entries(
-        field: FieldSpec, rows: int, cols: int, entries: Iterable[tuple[int, int, Scalar]]
-    ) -> "Matrix":
-        """rows x cols matrix from (row, col, value) triplets; values at a
-        repeated position add up, positions never named stay zero."""
-        arr = _zeros(field, (rows, cols))
-        entries = list(entries)
-        if entries:
-            i, j, x = zip(*entries)
-            vals = np.array([field.coerce(v) for v in x], dtype=arr.dtype)
-            np.add.at(arr, (np.array(i, dtype=np.intp), np.array(j, dtype=np.intp)), vals)
-        return Matrix._reduced(field, arr)
 
     @staticmethod
     def from_array(field: FieldSpec, arr: np.ndarray) -> "Matrix":
@@ -588,6 +574,13 @@ class Matrix:
     def is_zero(self) -> bool:
         return not self._a.any()
 
+    def differing_columns(self, other: "Matrix") -> np.ndarray:
+        """Boolean array: whether each column differs from that of ``other``."""
+        self._check_same_field(other)
+        if self.shape != other.shape:
+            raise PreconditionError("shape mismatch in comparison")
+        return (self._a != other._a).any(axis=0)
+
     def __repr__(self) -> str:
         return f"Matrix({self.field.kind}, {self.rows}x{self.cols})"
 
@@ -702,8 +695,8 @@ class QuotientMap:
     dim x dim identity, which is never built, and zero where ``_at[j]`` is
     -1: a free column's class is its unit vector, and the k-th pivot's is
     minus row k of R at the free columns, or zero when R is None (unit
-    rows).  Only the three readers ``classes``, ``scatter`` and ``nonzero``
-    look at that encoding.
+    rows).  Only the four readers ``classes``, ``entries``, ``scatter`` and
+    ``nonzero`` look at that encoding.
     """
 
     __slots__ = ("field", "dim", "_at", "_reduced")
@@ -739,24 +732,32 @@ class QuotientMap:
         out[at[unit], unit] = self.field.one()
         return Matrix(self.field, out)
 
-    def scatter(self, cols, coeffs: Matrix) -> Matrix:
-        """dim x w: column u is the sum over k of coeffs[u, k] times the class
-        of e_{cols[u, k]}, for w x K tables ``cols`` and ``coeffs`` of which
-        either may have a single row that stands for every row.
+    def entries(self, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries of ``classes(cols)`` as (row, column, value)
+        arrays, without building it: unit classes first, then the pivot
+        classes' entries in row-major order."""
+        at = self._at[np.asarray(cols, dtype=np.intp)]
+        unit = ((0 <= at) & (at < self.dim)).nonzero()[0]
+        right = (at >= self.dim).nonzero()[0]
+        block = self._reduced[:, at[right] - self.dim]
+        r, c = (block != 0).nonzero()
+        ones = np.full(unit.size, self.field.one(), dtype=self._reduced.dtype)
+        return np.concatenate([at[unit], r]), np.concatenate([unit, right[c]]), np.concatenate([ones, block[r, c]])
 
-        Only the triplets (cols[u, k], u, coeffs[u, k]) with a nonzero
-        coefficient and class are scattered: a unit class adds its
-        coefficient to one entry, a pivot class a column of ``_reduced``
-        times its coefficient.  Every term is reduced mod p before the sums,
-        so int64 holds any sum of fewer than 2^62 / p terms, and afterwards
-        only the entries hit are reduced.
+    def scatter(self, width: int, cols, targets, coeffs: np.ndarray) -> Matrix:
+        """dim x width: column u is the sum of coeffs[t] times the class of
+        e_{cols[t]} over the triplets t with targets[t] == u.  ``coeffs``
+        holds field elements: int64 in [0, p), or Fractions.
+
+        Only the triplets with a nonzero coefficient and class are
+        scattered: a unit class adds its coefficient to one entry, a pivot
+        class a column of ``_reduced`` times its coefficient.  Every term is
+        reduced mod p before the sums, so int64 holds any sum of fewer than
+        2^62 / p terms, and afterwards only the entries hit are reduced.
         """
-        at, c = self._at[np.asarray(cols, dtype=np.intp)], coeffs._a
-        live = (at >= 0) & (c != 0)
-        width, k = live.shape
-        t = np.flatnonzero(live)
-        u, j = np.divmod(t, k)
-        at, c = (x.ravel()[t if x.shape[0] > 1 else j] for x in (at, c))
+        at = self._at[np.asarray(cols, dtype=np.intp)]
+        live = (at >= 0) & (coeffs != 0)
+        at, u, c = at[live], np.asarray(targets, dtype=np.intp)[live], coeffs[live]
         hit, vals = at * width + u, c
         if self._reduced.shape[1]:  # pivot classes live in _reduced
             right = at >= self.dim

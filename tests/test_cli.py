@@ -8,6 +8,8 @@ from ivhs import cli
 from ivhs.cli import main
 
 SMOOTH_SEXTIC = "x0^6 + x1^6 + x2^6 + x3^6 + x4^6 + x0*x1*x2*x3*x4*x0"
+# A quartic surface with three mixed terms, as the verify-dense benchmark draws.
+DENSE_QUARTIC = "x0^4+x1^4+x2^4+x3^4+3*x0^2*x1*x3+x1*x2^3+5*x0*x1*x2*x3"
 
 
 def run(capsys, argv):
@@ -220,8 +222,15 @@ class TestSymmCommand:
                     "threshold": 3, "trials": 20, "zero_fraction": 1.0,
                 },
             ),
+            (
+                ["--geometric", "fermat", "3", "6", "--pair-sample", "60"],
+                {
+                    "canonical_symmetrizer": "nonzero", "fixture": "fermat(3,6)", "notes": [], "pairs_checked": 60,
+                    "symmetric": True,
+                },
+            ),
         ],
-        ids=["prop4-divisible", "prop4-fractional", "random"],
+        ids=["prop4-divisible", "prop4-fractional", "random", "geometric"],
     )
     def test_report_pinned(self, capsys, argv, report):
         # Recorded output: stdout stays byte-identical across changes.
@@ -303,6 +312,44 @@ class TestVerifyTheoremCommand:
             capsys, ["verify-theorem", "--fermat", "3", "5", "--format", "csv"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,report",
+        [
+            (
+                ["--fermat", "3", "6"],
+                {
+                    "canonical_symmetrizer_nonzero": True, "d": 6, "dims": {"dim_E": 185, "h_n0": 5, "h_n1_1": 255},
+                    "dims_match": True, "fixture": "fermat(3,6)", "in_theorem_range": True, "inequality_holds": True,
+                    "n": 3, "notes": [], "p0_injective": True, "p1_injective": True, "prime": 10007,
+                    "socle_mode": "full", "socle_points_checked": 0, "symmetrizer_pairs_checked": 60,
+                    "verdict": "NonGenericityWitnessed",
+                },
+            ),
+            (
+                ["--poly", DENSE_QUARTIC],
+                {
+                    "canonical_symmetrizer_nonzero": True, "d": 4, "dims": {"dim_E": 19, "h_n0": 1, "h_n1_1": 19},
+                    "dims_match": True, "fixture": "poly(952502af1e1e)", "in_theorem_range": False,
+                    "inequality_holds": None, "n": 2,
+                    "notes": ["outside theorem range (needs n >= 3 and d >= n + 3); report-only"],
+                    "p0_injective": True, "p1_injective": True, "prime": 10007, "socle_mode": "full",
+                    "socle_points_checked": 0, "symmetrizer_pairs_checked": 60, "verdict": "Inconclusive",
+                },
+            ),
+        ],
+        ids=["fermat(3,6)", "quartic-surface"],
+    )
+    def test_report_pinned(self, capsys, tmp_path, argv, report):
+        # Recorded output: stdout stays byte-identical across changes.  A
+        # polynomial is passed through a file.
+        if argv[0] == "--poly":
+            path = tmp_path / "f.txt"
+            path.write_text(argv[1])
+            argv = ["--poly", str(path)]
+        code, out, _ = run(capsys, ["verify-theorem", *argv])
+        assert code == 0
+        assert json.dumps(payload(out)["report"]) == json.dumps(report)
 
 
 def canonical_without_timestamp(out):

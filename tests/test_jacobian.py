@@ -22,7 +22,7 @@ from ivhs.jacobian import (
 from ivhs.linalg import Matrix
 from ivhs.polyring import HomogeneousPoly, basis, graded_dimension, multiply, parse_poly
 
-from oracle import naive_rank_mod, naive_rref_fraction
+from oracle import naive_poly_mul, naive_rank_mod, naive_rref_fraction
 
 FP = default_prime_field()
 P = FP.modulus
@@ -121,6 +121,27 @@ FIELDS = pytest.mark.parametrize("field", FIELD_PARAMS)
 
 
 @FIELDS
+@pytest.mark.parametrize(
+    "text", ["x0^4+x1^4+x2^4+x3^4+3*x0^2*x1*x3+x1*x2^3", "x0^3+x1^3+x2^3+x3^3+x0*x1*x2", "x0^3+x1^3+x2^3"]
+)
+def test_ideal_matrix_against_oracle(text, field):
+    # Row (i, s) is the naive product of generator i with monomial s.  In
+    # four variables x0^3+x1^3+x2^3 has a zero generator: a block of zero rows.
+    ctx = JacobianContext(parse_poly(text, field, num_vars=4))
+    p = field.modulus if field.is_prime_field else None
+    for m in range(ctx.d - 1, ctx.d + 3):
+        amb = basis(4, m)
+        rows = []
+        for g in ctx.generators:
+            for s in basis(4, m - (ctx.d - 1)).monomials:
+                row = [0] * amb.dim
+                for e, c in naive_poly_mul(dict(g.terms()), {s: 1}, p).items():
+                    row[amb.index(e)] = c
+                rows.append(row)
+        assert ctx._ideal_matrix(amb) == Matrix.from_rows(field, rows, cols=amb.dim), (text, m)
+
+
+@FIELDS
 @pytest.mark.parametrize("name", list(NORMAL_FORM_FIXTURES))
 def test_normal_form_fixes_standard_and_kills_ideal(name, field):
     # Every degree with an ideal part up to one past the socle: the classes
@@ -182,6 +203,26 @@ def _sums_by_gathers(piece, cols, coeffs):
     return out
 
 
+def _matmul_by_scatter(piece, cols, mat):
+    """``classes(cols) @ mat`` as one triplet scatter of the quotient map:
+    mat[r, v] times the class of cols[r] into column v."""
+    r, v = np.indices(mat.shape).reshape(2, -1)
+    vals = np.array(mat.flatten(), dtype=object if piece.field == QQ else np.int64)
+    return piece.quotient.scatter(mat.cols, np.asarray(cols, dtype=np.intp)[r], v, vals)
+
+
+def _classes_from_entries(piece, cols):
+    """``classes(cols)`` filled in from its sparse reader, which must name
+    each position at most once and no zero value."""
+    rows, pos, vals = piece.quotient.entries(cols)
+    assert len(set(zip(rows.tolist(), pos.tolist()))) == len(vals)
+    assert all(x != 0 for x in vals.tolist())
+    out = [[piece.field.zero()] * len(cols) for _ in range(piece.dim)]
+    for i, j, x in zip(rows.tolist(), pos.tolist(), vals.tolist()):
+        out[i][j] = x
+    return Matrix.from_rows(piece.field, out, cols=len(cols))
+
+
 def _mult_map_by_gathers(ctx, g, a):
     """The map [u] -> [g u] as the sum over the terms c x^t of g of c times
     the class matrix of the monomials u x^t."""
@@ -194,8 +235,9 @@ def _mult_map_by_gathers(ctx, g, a):
 @FIELDS
 @pytest.mark.parametrize("name", list(NORMAL_FORM_FIXTURES))
 def test_scatter_paths_match_class_matrices(name, field):
-    # classes_matmul, class_sums, multiplication_map and nonzero_classes
-    # against the class matrices they avoid building.
+    # The quotient map's triplet scatter, sparse reader and zero test,
+    # class_sums and multiplication_map against the class matrices they
+    # avoid building.
     ctx = NORMAL_FORM_FIXTURES[name](field)
     rng = np.random.default_rng((7, ctx.num_vars, ctx.d))
     for m in range(ctx.d - 1, ctx.d + 3):
@@ -203,8 +245,9 @@ def test_scatter_paths_match_class_matrices(name, field):
         for cols in _scatter_cases(piece, rng):
             for width in (0, 1, 3):
                 mat = _random_matrix(field, len(cols), width, rng)
-                assert piece.classes_matmul(cols, mat) == piece.classes(cols) @ mat, (m, cols, width)
-            nonzero = piece.nonzero_classes(cols)
+                assert _matmul_by_scatter(piece, cols, mat) == piece.classes(cols) @ mat, (m, cols, width)
+            assert _classes_from_entries(piece, cols) == piece.classes(cols), (m, cols)
+            nonzero = piece.quotient.nonzero(cols)
             assert nonzero.tolist() == [not piece.classes([j]).is_zero() for j in cols]
     texts = ("x0*x1", "x0^2+2*x1*x2", "x2^2-3*x0*x3+x1^2")
     for g in [parse_poly(text, field, num_vars=ctx.num_vars) for text in texts] + [ctx.generators[1]]:
@@ -213,7 +256,7 @@ def test_scatter_paths_match_class_matrices(name, field):
     # On a 2-d index table, as the canonical check tests q(g) != 0.
     b, top_deg = ctx.d - 1, 2 * ctx.d - 1
     q_cols = ctx.piece(top_deg).ambient.sum_index(ctx.piece(b).standard_monomials, ctx.piece(ctx.d).standard_monomials)
-    got = ctx.piece(top_deg).nonzero_classes(q_cols).any(axis=0).tolist()
+    got = ctx.piece(top_deg).quotient.nonzero(q_cols).any(axis=0).tolist()
     assert got == [not ctx.piece(top_deg).classes(q_cols[:, g]).is_zero() for g in range(q_cols.shape[1])]
     # One column summing many pivot-class terms: the pivot monomial whose
     # class has the largest entry, repeated, with coefficients near the
@@ -236,7 +279,7 @@ def test_scatter_paths_match_class_matrices(name, field):
         overflows |= size(pivots.index(heavy)) * sum(field.coerce(c) for c in coeffs) >= 2**63
         assert piece.class_sums(cols, coeffs) == _sums_by_gathers(piece, cols, coeffs), m
         mat = Matrix.from_rows(field, [[c, 0, coeffs[-1 - k % 6]] for k, c in enumerate(coeffs * 3)])
-        assert piece.classes_matmul(cols.ravel(), mat) == piece.classes(cols.ravel()) @ mat, m
+        assert _matmul_by_scatter(piece, cols.ravel(), mat) == piece.classes(cols.ravel()) @ mat, m
     if field == FieldSpec.prime(big) and not ctx.has_monomial_ideal:
         assert overflows
 

@@ -356,6 +356,17 @@ def test_degenerate_shapes_keep_shape_and_entry_type(field):
 
 
 @pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "qq"])
+def test_differing_columns(field):
+    a = Matrix.from_rows(field, [[1, 2, 3], [4, 5, 6]])
+    b = Matrix.from_rows(field, [[1, 0, 3], [4, 5, Fraction(1, 2)]])
+    assert a.differing_columns(b).tolist() == [False, True, True]
+    assert not a.differing_columns(a).any()
+    assert Matrix.zeros(field, 0, 2).differing_columns(Matrix.zeros(field, 0, 2)).tolist() == [False, False]
+    with pytest.raises(PreconditionError):
+        a.differing_columns(Matrix.zeros(field, 2, 2))
+
+
+@pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "qq"])
 def test_reshape_round_trips_and_agrees_with_flatten(field):
     m = Matrix.from_rows(field, [[1, 2, 3], [4, 5, 6]])
     for shape in ((3, 2), (1, 6), (6, 1), (2, 3)):
@@ -367,14 +378,6 @@ def test_reshape_round_trips_and_agrees_with_flatten(field):
     assert Matrix.zeros(field, 0, 4).reshape(2, 0).shape == (2, 0)
     with pytest.raises(PreconditionError):
         m.reshape(4, 2)
-
-
-@pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "qq"])
-def test_from_entries_sums_repeated_positions(field):
-    m = Matrix.from_entries(field, 2, 3, [(0, 1, 2), (1, 2, Fraction(1, 2)), (0, 1, 5), (1, 0, -1)])
-    want = Matrix.from_rows(field, [[0, 7, 0], [-1, 0, Fraction(1, 2)]])
-    assert m == want
-    assert Matrix.from_entries(field, 2, 2, []) == Matrix.zeros(field, 2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,17 @@ frames, and the verify_theorem pipeline."""
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
+import numpy as np
 import pytest
 
 from ivhs.errors import PreconditionError, SingularInputError
-from ivhs.fields import default_prime_field
+from ivhs.fields import QQ, FieldSpec, default_prime_field
 from ivhs.hodge import lie_algebra_residual, project
 from ivhs.jacobian import JacobianContext
+from ivhs.linalg import QuotientMap
 from ivhs.polyring import HomogeneousPoly, parse_poly
 from ivhs.symmetrizers import fiber_forward_check
 from ivhs import theorem
@@ -272,18 +276,40 @@ class TestVerifyTheorem:
         assert (result.nonzero, result.symmetric, result.pairs_checked) == (True, True, 0)
 
     def test_canonical_check_counts_pairs_before_the_first_failure(self, monkeypatch):
-        real = theorem.verify_candidate_symmetrizer
-        calls = []
+        # One scatter per side; the second side gets one extra unit term in
+        # the block of the third sampled pair (dim R^0 = 1 column per pair).
+        ctx = JacobianContext.fermat(3, 5)
+        top = ctx.piece(10)
+        unit = top.ambient.index(top.standard_monomials[0])
+        real = QuotientMap.scatter
+        widths = []
 
-        def fail_third_pair(e_basis, q_values, pairs=None):
-            calls.append(pairs)
-            result = real(e_basis, q_values, pairs=pairs)
-            return result if len(calls) != 3 else replace(result, holds=False, pairs_checked=0)
+        def corrupt_third_pair(self, width, cols, targets, coeffs):
+            widths.append(width)
+            if len(widths) == 2:
+                cols, targets, coeffs = np.r_[cols, unit], np.r_[targets, 2], np.r_[coeffs, 1]
+            return real(self, width, cols, targets, coeffs)
 
-        monkeypatch.setattr(theorem, "verify_candidate_symmetrizer", fail_third_pair)
-        result = canonical_symmetrizer_check(JacobianContext.fermat(3, 5), pair_sample=10)
+        monkeypatch.setattr(QuotientMap, "scatter", corrupt_third_pair)
+        result = canonical_symmetrizer_check(ctx, pair_sample=10)
         assert (result.nonzero, result.symmetric, result.pairs_checked) == (True, False, 2)
-        assert calls == [[(0, 1)]] * 3
+        assert widths == [10, 10]
+
+    def test_canonical_check_computes_both_sides(self, monkeypatch):
+        # On fermat(3,5) alpha(g) is the unit vector of g in R^5 = R^d.
+        # Doubling it for the first pair's x alone makes the sides differ on
+        # that pair, whose product is not in the ideal.  Computing one side
+        # twice, or inferring one from the other, would not see it.
+        x = theorem._sample_pairs(101, 10, 0)[0, 0]
+        real = QuotientMap.entries
+
+        def double_alpha_of_x(self, cols):
+            rows, pos, vals = real(self, cols)
+            return rows, pos, np.where(rows == x, 2 * vals, vals)
+
+        monkeypatch.setattr(QuotientMap, "entries", double_alpha_of_x)
+        result = canonical_symmetrizer_check(JacobianContext.fermat(3, 5), pair_sample=10)
+        assert (result.nonzero, result.symmetric, result.pairs_checked) == (True, False, 0)
 
     def test_dimension_mismatch_is_inconclusive(self, monkeypatch):
         # dim E one above the true 185 still satisfies the inequality, so
@@ -338,3 +364,125 @@ class TestVerifyTheorem:
             assert lie_algebra_residual(e.as_block_matrix()) == []
         result = fiber_forward_check(cand)
         assert result.holds and result.pairs_checked == 6
+
+
+# ---------------------------------------------------------------------------
+# the batched canonical symmetrizer check against explicit products
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 20, 185])
+@pytest.mark.parametrize("seed", [0, 1, 5, 913, 2**31 - 1])
+def test_sample_pairs_are_the_combination_ranks_drawn(k, seed):
+    ranked = list(combinations(range(k), 2))
+    for count in (0, 1, 10, 60):
+        if len(ranked) <= count:
+            want = ranked
+        else:
+            picks = np.random.default_rng((seed, 0xCA)).choice(len(ranked), size=count, replace=False)
+            want = sorted(ranked[t] for t in picks)
+        got = theorem._sample_pairs(k, count, seed)
+        assert got.shape == (len(want), 2)
+        assert [tuple(p) for p in got.tolist()] == want, (k, seed, count)
+
+
+def _reference_maps(ctx):
+    """q(g) and alpha(g) as class matrices, for g the e-th standard
+    monomial of R^d."""
+    n, d = ctx.n, ctx.d
+    a, b = d - (n + 2), 2 * d - (n + 2)
+    mid, top = ctx.piece(b), ctx.piece(b + d)
+    g = ctx.piece(d).standard_monomials
+    src = ctx.piece(a).standard_monomials if a >= 0 else ()
+    q = lambda e: top.classes(top.ambient.sum_index(mid.standard_monomials, [g[e]]).ravel())
+    alpha = lambda e: mid.classes(mid.ambient.sum_index(src, [g[e]]).ravel())
+    return q, alpha
+
+
+def _cross_check(ctx, pairs):
+    """Every pair block of the batched sides equals the product of the class
+    matrices, and the nonzero flag is q(g) != 0 over the elements of the
+    pairs.  Returns the number of runs."""
+    q, alpha = _reference_maps(ctx)
+    nonzero, runs = theorem._canonical_sides(ctx, pairs)
+    done = n_runs = 0
+    for count, lhs, rhs in runs:
+        n_runs += 1
+        for i, (x, y) in enumerate(pairs[done : done + count].tolist()):
+            ref_l, ref_r = q(y) @ alpha(x), q(x) @ alpha(y)
+            block = range(i * ref_l.cols, (i + 1) * ref_l.cols)
+            assert lhs.col_select(block) == ref_l and rhs.col_select(block) == ref_r, (x, y)
+        assert lhs.cols == rhs.cols == count * ref_l.cols
+        done += count
+    assert done == len(pairs)
+    assert nonzero == all(not q(e).is_zero() for e in set(pairs.ravel().tolist()))
+    return n_runs
+
+
+DENSE_QUARTIC = "x0^4+x1^4+x2^4+x3^4+3*x0^2*x1*x3+x1*x2^3+5*x0*x1*x2*x3"
+CANONICAL_FIXTURES = {
+    "fermat(3,5)": lambda fld: JacobianContext.fermat(3, 5, field=fld),
+    "fermat(3,6)": lambda fld: JacobianContext.fermat(3, 6, field=fld),
+    "quartic-surface": lambda fld: JacobianContext(parse_poly(DENSE_QUARTIC, fld)),
+    "quintic-threefold": lambda fld: JacobianContext(
+        parse_poly("x0^5+x1^5+x2^5+x3^5+x4^5+2*x0*x1*x2*x3*x4+3*x0^3*x1*x2", fld)
+    ),
+    # d < n + 2: alpha maps from a negative degree and is empty.
+    "fermat(3,4)": lambda fld: JacobianContext.fermat(3, 4, field=fld),
+    "cubic-surface": lambda fld: JacobianContext(parse_poly("x0^3+x1^3+x2^3+x3^3+x0*x1*x2", fld)),
+}
+PRIMES = [
+    pytest.param(FieldSpec.prime(10007), id="p10007"),
+    pytest.param(FieldSpec.prime(2147483629), id="p2147483629"),
+]
+
+
+@pytest.mark.parametrize("field", PRIMES)
+@pytest.mark.parametrize("name", list(CANONICAL_FIXTURES))
+def test_canonical_sides_match_explicit_products(name, field):
+    ctx = CANONICAL_FIXTURES[name](field)
+    k = ctx.piece(ctx.d).dim
+    pairs = theorem._sample_pairs(k, 20, 3)
+    runs = _cross_check(ctx, pairs)
+    if name == "quartic-surface":
+        # q(g) is 1 x 19: one scatter per side for every sample.
+        assert runs == 1
+    result = canonical_symmetrizer_check(ctx, seed=3, pair_sample=20)
+    assert (result.symmetric, result.pairs_checked) == (True, len(pairs))
+
+
+@pytest.mark.parametrize("name", ["fermat(3,5)", "cubic-surface"])
+def test_canonical_sides_match_explicit_products_over_q(name):
+    ctx = CANONICAL_FIXTURES[name](QQ)
+    pairs = theorem._sample_pairs(ctx.piece(ctx.d).dim, 12, 4)
+    assert _cross_check(ctx, pairs) == 1
+    assert canonical_symmetrizer_check(ctx, seed=4, pair_sample=12).pairs_checked == len(pairs)
+
+
+def test_canonical_sides_in_bounded_runs(monkeypatch):
+    # A bound below one pair's block: one pair per run, same blocks and report.
+    ctx = CANONICAL_FIXTURES["fermat(3,6)"](F)
+    want = canonical_symmetrizer_check(ctx, seed=2, pair_sample=7)
+    monkeypatch.setattr(theorem, "_SIDE_ENTRIES", 1)
+    assert _cross_check(ctx, theorem._sample_pairs(ctx.piece(6).dim, 7, 2)) == 7
+    assert canonical_symmetrizer_check(ctx, seed=2, pair_sample=7) == want
+
+
+@pytest.mark.parametrize(
+    "ctx, pair_sample, want",
+    [
+        # k = 1: dim R^3 = 1 for the Fermat cubic curve, no pair to check.
+        (JacobianContext.fermat(1, 3), 60, (1, False, 0)),
+        (JacobianContext.fermat(3, 5), 0, (101, True, 0)),
+        # Full coverage: fewer pairs than the sample.
+        (JacobianContext(parse_poly(DENSE_QUARTIC, F)), 10**9, (19, True, comb(19, 2))),
+    ],
+    ids=["k=1", "pair_sample=0", "full-coverage"],
+)
+def test_canonical_check_edges(ctx, pair_sample, want):
+    result = canonical_symmetrizer_check(ctx, pair_sample=pair_sample)
+    k, nonzero, checked = want
+    assert ctx.piece(ctx.d).dim == k
+    assert (result.nonzero, result.symmetric, result.pairs_checked) == (nonzero, True, checked)
+    if checked:
+        _cross_check(ctx, theorem._sample_pairs(k, pair_sample, 0))
