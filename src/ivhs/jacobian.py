@@ -112,7 +112,7 @@ class JacobianContext:
         terms = [t for g in self.generators for t, _ in g.terms()]
         # Distinct monomials span the ideal piece: their columns are the
         # pivots, and the reduced rows are unit vectors.
-        pivots = sorted(set(amb.sum_index(src.monomials, terms).ravel().tolist()))
+        pivots = sorted(set(amb.sum_index(src.exponents, terms).ravel().tolist()))
         return _piece_from_pivots(self.field, m, amb, pivots, None)
 
     def _build_piece_dense(self, m: int, amb: MonomialBasis) -> "GradedQuotientPiece":
@@ -127,7 +127,7 @@ class JacobianContext:
         terms = [list(g.terms()) for g in self.generators]
         # Term k (of all generators' terms in turn) of generator i times
         # monomial s is row (i, s), column cols[s, k]: no position twice.
-        cols = amb.sum_index(src.monomials, [t for ts in terms for t, _ in ts])
+        cols = amb.sum_index(src.exponents, [t for ts in terms for t, _ in ts])
         gen = np.repeat(np.arange(self.num_vars), [len(ts) for ts in terms])
         arr = _zeros(self.field, (self.num_vars, src.dim, amb.dim))
         arr[gen, np.arange(src.dim)[:, None], cols] = [c for ts in terms for _, c in ts]
@@ -139,8 +139,10 @@ def _piece_from_pivots(
 ) -> "GradedQuotientPiece":
     """The quotient piece of an ideal piece with the given pivot columns and
     reduced rows ``rref`` (None: unit rows)."""
-    std = tuple(amb.monomials[j] for j in np.delete(np.arange(amb.dim), list(pivots)).tolist())
-    return GradedQuotientPiece(fld, m, amb, len(pivots), std, QuotientMap.of_rref(fld, amb.dim, pivots, rref))
+    free = np.delete(np.arange(amb.dim), list(pivots))
+    std = tuple(amb.monomials[j] for j in free.tolist())
+    quotient = QuotientMap.of_rref(fld, amb.dim, pivots, rref)
+    return GradedQuotientPiece(fld, m, amb, len(pivots), std, quotient, amb.exponents[free])
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,6 +156,8 @@ class GradedQuotientPiece:
     standard_monomials: tuple[Exponents, ...]
     # Ambient monomials onto standard-monomial coordinates.
     quotient: QuotientMap = dc_field(repr=False)
+    # The standard monomials as one array, for ``MonomialBasis.sum_index``.
+    standard_exponents: np.ndarray = dc_field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -216,7 +220,7 @@ def multiplication_map(ctx: JacobianContext, g: HomogeneousPoly, a: int) -> Mult
         return MultiplicationMap(ctx, g, a, Matrix.zeros(ctx.field, tgt.dim, src.dim))
     # Column u of the map is sum_t c_t * (class of u * x^t): one scatter of
     # (class, u, c_t) triplets.
-    cols = tgt.ambient.sum_index(src.standard_monomials, [t for t, _ in terms])
+    cols = tgt.ambient.sum_index(src.standard_exponents, [t for t, _ in terms])
     return MultiplicationMap(ctx, g, a, tgt.class_sums(cols, [c for _, c in terms]))
 
 
@@ -228,7 +232,7 @@ def action_matrix(ctx: JacobianContext, a: int, b: int) -> Matrix:
     tgt = ctx.piece(a + b)
     check_dense_budget(tgt.dim * src_b.dim, max(src_a.dim, 1), what="stacked multiplication action")
     # Row i * dim R^b + u of the gather is the class of m_i * u.
-    cols = tgt.ambient.sum_index(src_a.standard_monomials, src_b.standard_monomials)
+    cols = tgt.ambient.sum_index(src_a.standard_exponents, src_b.standard_exponents)
     gathered = tgt.classes(cols.ravel()).transpose()
     # Column i is the column-major vec of the (dim R^{a+b} x dim R^b) map:
     # row index u * dim R^{a+b} + r.

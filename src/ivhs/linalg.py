@@ -4,11 +4,13 @@ Everything here is exact.  Rational matrices are numpy object arrays of
 Fractions.  Prime-field matrices are numpy int64 arrays with entries in
 [0, p); one panel-blocked Gauss-Jordan core eliminates them in float64
 (BLAS) or int64, with a panel width chosen so that panel * (p-1)^2 < 2^53
-or < 2^62.
-Between two reductions mod p an entry takes at most ``panel`` updates
-x -= f * y with f and y in [0, p), so |x| < p + panel * (p-1)^2 and every
-entry stays an exact integer: the kernels reduce once per panel, not once
-per pivot, and no floating-point rounding can occur on any path.
+or < 2^62.  The core holds its copy of the matrix transposed, so that a
+column is contiguous: a pivot step reduces its column and its row within
+the panel, keeps its multipliers below the pivot and makes one rank-1
+update.  Between two reductions mod p an entry takes fewer than ``panel``
+updates x -= f * y with f and y in [0, p), so |x| < p + panel * (p-1)^2
+and every entry stays an exact integer: no floating-point rounding can
+occur on any path.
 
 A structural stage runs before the core (the structural-pivot step of
 Faugere-Lachartre, PASCO 2010).  A row whose first nonzero column no
@@ -16,16 +18,18 @@ earlier row leads is a structural row; its lead column is a pivot column
 of the RREF, because no column left of it can produce that entry.  The
 structural rows reduce among themselves by a triangular solve, one product
 per dependency level; the other nonzero rows are reduced against them into
-a Schur complement on the remaining columns, and only that complement goes
-to the core.  All-zero rows enter neither.  Since the RREF over F_p is
-unique, the result is bit-identical to eliminating the whole matrix.  The
-stage's products are exact too: each goes through ``_fp_matmul``, whose
-float64 path needs inner * (p-1)^2 + p < 2^53 and whose int64 path splits
-the inner dimension below 2^62, or applies the entries of a sparse factor
-one at a time, reducing every product mod p before a row's terms are
-summed in int64, whichever costs less by ``_macs_per_entry``.  With fewer
-than ``_STRUCTURAL_MIN`` structural pivots the whole matrix goes to the
-core.
+a Schur complement on the remaining columns.  All-zero rows enter neither.
+The split is taken only when its pivots number at least
+``_PIVOTS_PER_LEVEL`` per dependency level, counting two more levels for
+the stage's fixed cost; then the same stage runs again on the complement,
+round after round, and the first complement whose split does not pay goes
+to the core.  Since the RREF over F_p is unique, the result is
+bit-identical to eliminating the whole matrix.  The stage's products are
+exact too: each goes through ``_fp_matmul``, whose float64 path needs
+inner * (p-1)^2 + p < 2^53 and whose int64 path splits the inner dimension
+below 2^62, or applies the entries of a sparse factor one at a time,
+reducing every product mod p before a row's terms are summed in int64,
+whichever costs less by ``_macs_per_entry``.
 """
 
 from __future__ import annotations
@@ -42,13 +46,18 @@ from .fields import FieldSpec, Scalar
 _FLOAT_PANEL = 128
 _FLOAT_SAFE = 2**53
 _INT_SAFE = 2**62
-# With fewer structural pivots the whole matrix goes to the dense core.  Each
-# structural pivot saves one pivot step of the core, and the stage itself
-# costs a few such steps in numpy calls.  On the eliminations of the four
-# benchmark workloads the stage was slower in 62 of 65 calls with 1-4
-# structural pivots, even with 5 (totals within 3%) and faster in 58 of 59
-# with 9 or more.
-_STRUCTURAL_MIN = 5
+# A structural split is taken when it has at least this many pivots per
+# dependency level, counting the stage's fixed cost as two more levels.  Each
+# pivot saves one pivot step of the dense core; each level, and the stage
+# itself, cost a few.  Timed against the dense core on the eliminations of
+# the four benchmark workloads and on their Schur complements (162 splits):
+# one level with 3 to 5 pivots lost in 41 of 41 cases, 21 pivots in 8 levels
+# won by 27%, and of the 42 splits this rule takes 32 were faster, the other
+# 10 (6 to 14 pivots in 1 or 2 levels) slower by at most 0.12 ms; of the 120
+# it refuses, 119 were slower.  Summed, it came within 1.0% of always
+# picking the faster path; 3 pivots per level with one extra level came
+# within 2.5%, and the ratio alone within 4.8% (4) or 7.4% (3).
+_PIVOTS_PER_LEVEL = 2
 # Most entries a sparse product holds at once.
 _ENTRY_CHUNK = 2**22
 
@@ -80,8 +89,8 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _update(x: np.ndarray, f: np.ndarray, y: np.ndarray, p: int | None = None) -> None:
-    """x -= f @ y in place, then reduce the changed entries mod ``p`` if given.
+def _update(x: np.ndarray, f: np.ndarray, y: np.ndarray, p: int) -> None:
+    """x = (x - f @ y) mod p in place, touching only the entries that change.
 
     Only rows where f and columns where y hold a nonzero can change; when
     they cover less than half of ``x``, only those are gathered.
@@ -92,12 +101,10 @@ def _update(x: np.ndarray, f: np.ndarray, y: np.ndarray, p: int | None = None) -
     cols = y.any(axis=0).nonzero()[0]
     if 2 * rows.size * cols.size > x.size:
         x -= f @ y
-        if p is not None:
-            _reduce(x, p)
+        _reduce(x, p)
     elif cols.size:
         ix = rows[:, None], cols
-        t = x[ix] - f[rows] @ y[:, cols]
-        x[ix] = t if p is None else _reduce(t, p)
+        x[ix] = _reduce(x[ix] - f[rows] @ y[:, cols], p)
 
 
 def _fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -118,14 +125,28 @@ def _fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-def _fp_forward_echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """In-place panel-blocked forward elimination; returns (a, pivot columns).
+def _swap_rows(t: np.ndarray, i: int, j: int) -> None:
+    """Swap rows i and j of the matrix whose transpose is ``t``."""
+    x = t[:, i].copy()
+    t[:, i] = t[:, j]
+    t[:, j] = x
 
-    Afterwards rows 0..r-1 of ``a`` are in echelon form with pivots at the
-    returned columns, the rows below are zero, and entries lie in [0, p).
-    A panel's rank-1 updates go unreduced until the panel ends.
+
+def _fp_forward_echelon(t: np.ndarray, p: int) -> list[int]:
+    """In-place panel-blocked forward elimination of the matrix whose
+    transpose is ``t``; returns the pivot columns.
+
+    Holding the matrix transposed makes each of its columns a contiguous row
+    of ``t``.  Afterwards rows 0..r-1 of the matrix are in echelon form with
+    pivots at the returned columns, the rows below are zero, and entries
+    lie in [0, p).  Each pivot reduces its column below itself and its row
+    within the panel, keeps its multipliers in its column, below the pivot,
+    and makes one unreduced rank-1 update of the panel, so every entry of
+    the panel is reduced when its pivot step reads it.  A panel that leaves
+    trailing columns brings them up to date with its multipliers by one
+    product; the multipliers are then cleared.
     """
-    m, n = a.shape
+    n, m = t.shape
     _, panel = _elim_dtype_and_panel(p)
     pivots: list[int] = []
     r = 0
@@ -134,80 +155,87 @@ def _fp_forward_echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             break
         c1 = min(c0 + panel, n)
         # A column that is zero in rows r.. stays zero there: skip it.
-        cols = c0 + a[r:, c0:c1].any(axis=0).nonzero()[0]
-        if cols.size == 0:
-            continue
-        blk = a[r:, cols]
-        F = np.zeros((m - r, cols.size), dtype=a.dtype)  # multipliers, by pivot
-        k = 0
-        for j, c in enumerate(cols):
-            if k == m - r:
+        cols = c0 + t[c0:c1, r:].any(axis=1).nonzero()[0]
+        k = r
+        for c in cols.tolist():
+            if k == m:
                 break
-            col = blk[k:, j] % p
+            col = _reduce(t[c, k:], p)
             nz = col.nonzero()[0]
             if nz.size == 0:
                 continue
-            i = int(nz[0])
-            if i:
-                for x in (blk, F, a[r:, c1:]):
-                    x[[k, k + i]] = x[[k + i, k]]
-                col[[0, i]] = col[[i, 0]]
-            row = _reduce(blk[k, j + 1 :], p)
-            f = (col[1:] * pow(int(col[0]), p - 2, p)) % p
-            _update(blk[k + 1 :, j + 1 :], f[:, None], row[None, :])
-            blk[k:, j] = 0
-            blk[k, j] = col[0]
-            F[k + 1 :, k] = f
-            pivots.append(int(c))
+            if nz[0]:
+                # Left of the panel, rows r.. are zero; in it, the multipliers
+                # of earlier pivots move with their rows.
+                _swap_rows(t[c0:], k, k + int(nz[0]))
+            row = _reduce(t[c + 1 : c1, k], p)
+            if nz.size > 1:
+                f = col[1:]
+                f *= pow(int(col[0]), p - 2, p)
+                t[c + 1 : c1, k + 1 :] -= np.multiply.outer(row, _reduce(f, p))
+            pivots.append(c)
             k += 1
-        if k == 0:
+        if k == r:
             continue
-        a[r:, cols] = _reduce(blk, p)
-        # Pivot rows missed the updates from earlier pivots of this panel on
-        # the trailing columns; forward-substitute, then update the rows
-        # below with one product.  The last panel has no trailing columns.
+        piv = pivots[r - k :]
         if c1 < n:
-            top = a[r : r + k, c1:]
-            for j in range(1, k):
-                _update(top[j : j + 1], F[j : j + 1, :j], top[:j], p)
-            _update(a[r + k :, c1:], F[k:, :k], top, p)
-        r += k
-    return a, pivots
+            # The pivot rows missed the updates of earlier pivots of this
+            # panel on the trailing columns: forward-substitute, then update
+            # the rows below with one product.
+            mult = t[piv, r:]  # row j: pivot j's multipliers, below row r + j
+            top = t[c1:, r:k]
+            for j in range(1, k - r):
+                x = top[:, j]
+                x -= top[:, :j] @ mult[:j, j]
+                _reduce(x, p)
+            _update(t[c1:, k:], top, mult[:, k - r :], p)
+        for j, c in enumerate(piv):
+            t[c, r + j + 1 :] = 0
+        r = k
+    return pivots
 
 
 def _dense_rank(arr: np.ndarray, p: int) -> int:
     dtype, _ = _elim_dtype_and_panel(p)
-    # Eliminating the transpose is cheaper when the matrix is much taller
-    # than wide; rank is unchanged.
-    work = arr.T if arr.shape[0] > 4 * arr.shape[1] else arr
-    a = np.array(work, dtype=dtype, order="C")
-    _, pivots = _fp_forward_echelon(a, p)
-    return len(pivots)
+    # The core eliminates the transpose of its copy.  Eliminating the
+    # transpose of the matrix is cheaper when it is much taller than wide;
+    # rank is unchanged.
+    work = arr if arr.shape[0] > 4 * arr.shape[1] else arr.T
+    return len(_fp_forward_echelon(np.array(work, dtype=dtype, order="C"), p))
 
 
 def _dense_rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Dense RREF in the elimination dtype: rows 0..r-1 hold the result.
+    """Dense RREF: its rank rows (int64) and pivot columns.
 
-    Back-substitution runs bottom-up in blocks of at most ``panel`` pivot
-    rows: a sweep inside the block, whose rows take fewer than ``panel``
-    unreduced updates, then one product clears the block's pivot columns
-    from every row above it.
+    The elimination copy is built transposed, as ``_fp_forward_echelon``
+    wants it, and its echelon rows are scaled to unit pivots at once.
+    Back-substitution then runs bottom-up in blocks of at most ``panel``
+    pivot rows: a sweep inside the block, in which each row is reduced when
+    its turn comes and clears its pivot column from the block's rows above
+    it by one unreduced rank-1 update, so a row takes fewer than ``panel``
+    of them; then one product clears the block's pivot columns from every
+    row above it.
     """
     dtype, panel = _elim_dtype_and_panel(p)
-    a, pivots = _fp_forward_echelon(np.array(arr, dtype=dtype, order="C"), p)
-    for hi in range(len(pivots), 0, -panel):
+    t = np.array(arr.T, dtype=dtype, order="C")
+    pivots = _fp_forward_echelon(t, p)
+    r = len(pivots)
+    if r:
+        rows = t[:, :r]
+        rows *= _inverses(t[pivots, np.arange(r)].astype(np.int64), p)
+        _reduce(rows, p)
+    for hi in range(r, 0, -panel):
         lo = max(0, hi - panel)
         c = pivots[lo]
-        blk = a[lo:hi, c:]
-        for i in range(hi - lo - 1, -1, -1):
+        blk = t[c:, lo:hi]
+        for i in range(hi - lo - 1, 0, -1):
             ci = pivots[lo + i] - c
-            row = _reduce(blk[i, ci:], p)
-            if row[0] != 1:
-                row *= pow(int(row[0]), p - 2, p)
-                _reduce(row, p)
-            _update(blk[:i, ci:], blk[:i, ci : ci + 1] % p, row[None, :])
-        _update(a[:lo, c:], a[:lo, pivots[lo:hi]], blk, p)
-    return a, pivots
+            # Row i's pivot column is reduced: no later row of the block
+            # reaches that far left.
+            blk[ci:, :i] -= np.multiply.outer(_reduce(blk[ci:, i], p), blk[ci, :i])
+        _reduce(blk[:, 0], p)
+        _update(t[c:, :lo], blk, t[pivots[lo:hi], :lo], p)
+    return np.ascontiguousarray(t[:, : len(pivots)].T, dtype=np.int64), pivots
 
 
 def _macs_per_entry(p: int, inner: int) -> int:
@@ -255,12 +283,23 @@ def _sub_entries(x: np.ndarray, i: np.ndarray, j: np.ndarray, v: np.ndarray, y: 
     step = max(1, _ENTRY_CHUNK // max(1, cols.size))
     for lo in range(0, i.size, step):
         seg = i[lo : lo + step]
-        t = y[np.ix_(j[lo : lo + step], cols)]
+        t = y[np.ix_(j[lo : lo + step], cols)]  # a flat index would double the chunk
         t *= v[lo : lo + step, None]
         t %= p
         starts = np.r_[0, (seg[1:] != seg[:-1]).nonzero()[0] + 1]
         ix = np.ix_(seg[starts], cols)
         x[ix] = (x[ix] - np.add.reduceat(t, starts)) % p
+
+
+def _block(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """x[np.ix_(rows, cols)] by one flat take, several times faster than
+    numpy's 2-d fancy indexing; its index is as large as the block."""
+    return x.take(rows[:, None] * x.shape[1] + cols)
+
+
+def _inverses(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p, the inverses of an int64 array with entries in [1, p)."""
+    return np.array([pow(v, p - 2, p) for v in x.tolist()], dtype=np.int64)
 
 
 def _levels(dep: np.ndarray):
@@ -285,9 +324,10 @@ def _structural_stage(a: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
     is that column's structural row.  Returns (L, N, B, C): the lead
     columns, the other columns, the structural rows reduced to [I | B] on
     (L, N), and the Schur complement C on N of the other nonzero rows,
-    without its zero rows.  With fewer than ``_STRUCTURAL_MIN`` structural
-    rows the split is the degenerate one: L and B are empty, N is every
-    column and C is the nonzero rows of ``a``, for the dense core.
+    without its zero rows.  Unless the split pays (see
+    ``_PIVOTS_PER_LEVEL``; the levels are counted only that far), it is the
+    degenerate one: L and B are empty, N is every column and C is the
+    nonzero rows of ``a``, for the dense core.
     """
     m, n = a.shape
     nz = a != 0
@@ -296,29 +336,38 @@ def _structural_stage(a: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
     first = np.full(n, m)  # first row to lead each column; m if none does
     np.minimum.at(first, lead[live], live)
     lcols = (first < m).nonzero()[0]
-    if lcols.size < _STRUCTURAL_MIN:
-        c = a if live.size == m else a[live]
-        return lcols[:0], np.arange(n), np.zeros((0, n), dtype=np.int64), c
     srows = first[lcols]
-    ncols = (first == m).nonzero()[0]
     # Structural row i needs row j when it is nonzero at j's lead, which lies
     # right of its own: the block on L is triangular, solved level by level
     # with one product each.
-    dep = nz[np.ix_(srows, lcols)]
+    most = lcols.size // _PIVOTS_PER_LEVEL - 2  # levels of a split that pays
+    levels = []
+    if most > 0:
+        dep = nz[srows][:, lcols]
+        diag = np.arange(lcols.size)
+        dep[diag, diag] = False
+        for rows in _levels(dep):
+            levels.append(rows)
+            if len(levels) > most:
+                break
+    if not 0 < len(levels) <= most:
+        c = a if live.size == m else a[live]
+        return lcols[:0], np.arange(n), np.zeros((0, n), dtype=np.int64), c
+    ncols = (first == m).nonzero()[0]
     rest = live[first[lead[live]] != live]
+    # Not a row-then-column gather: the rows of a tall matrix's complement
+    # can be most of it, and their full rows would be one more large block.
     ri, rj = np.nonzero(nz[np.ix_(rest, lcols)])
     del nz
-    diag = np.arange(lcols.size)
-    dep[diag, diag] = False
-    inv = np.array([pow(int(x), p - 2, p) for x in a[srows, lcols]], dtype=np.int64)
-    b = a[np.ix_(srows, ncols)]
-    for depth, rows in enumerate(_levels(dep)):
+    inv = _inverses(a[srows, lcols], p)
+    b = _block(a, srows, ncols)
+    for depth, rows in enumerate(levels):
         br = b[rows]
         if depth:
             ti, tj = np.nonzero(dep[rows])
             _sub_entries(br, ti, tj, a[srows[rows[ti]], lcols[tj]], b, p)
         b[rows] = br * inv[rows, None] % p
-    c = a[np.ix_(rest, ncols)]
+    c = a[np.ix_(rest, ncols)]  # as large as the complement: no flat index
     _sub_entries(c, ri, rj, a[rest[ri], lcols[rj]], b, p)
     return lcols, ncols, b, c[c.any(axis=1)]
 
@@ -327,36 +376,42 @@ def _fp_rank(arr: np.ndarray, p: int) -> int:
     if arr.size == 0:
         return 0
     lcols, _, _, c = _structural_stage(arr, p)
-    return lcols.size + _dense_rank(c, p)
+    if lcols.size:
+        return lcols.size + _fp_rank(c, p)
+    return _dense_rank(c, p)
 
 
 def _fp_rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p, its rank rows only: unit pivots,
-    zeros above and below.
+    zeros above and below."""
+    # Recursion goes through _rref, so that a wrapper around this name sees
+    # one call per elimination.
+    return _rref(arr, p)
+
+
+def _rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """``_fp_rref``, splitting structural rounds off until one does not pay.
 
     Every lead column of the structural stage is a pivot column, and the
-    RREF is unique, so eliminating the Schur complement densely and then
-    clearing the structural rows at its pivot columns gives the same rows
-    as eliminating the whole matrix.
+    RREF is unique, so reducing the Schur complement and then clearing the
+    structural rows at its pivot columns gives the same rows as eliminating
+    the whole matrix.
     """
     n = arr.shape[1]
     if arr.size == 0:
         return np.zeros((0, n), dtype=np.int64), []
     lcols, ncols, b, c = _structural_stage(arr, p)
-    work, cpiv = _dense_rref(c, p)
-    # Free the complement, and on the structural path its elimination copy
-    # (at the astype below), before the result exists.
-    red = work[: len(cpiv)]
-    del c, work
+    if not lcols.size:
+        return _dense_rref(c, p)
+    red, cpiv = _rref(c, p)
+    del c
+    # Structural rows: [I | B] minus B's entries at the complement's pivot
+    # columns times the complement's rows.
     free = np.delete(np.arange(ncols.size), cpiv)
     b_free = b[:, free]
-    if lcols.size:
-        # Structural rows: [I | B] minus B's entries at the complement's
-        # pivot columns times the complement's rows.
-        red = red.astype(np.int64)
-        f = b[:, cpiv]
-        fi, fj = np.nonzero(f)
-        _sub_entries(b_free, fi, fj, f[fi, fj], red[:, free], p)
+    f = b[:, cpiv]
+    fi, fj = np.nonzero(f)
+    _sub_entries(b_free, fi, fj, f[fi, fj], red[:, free], p)
     # Rows go in pivot order: merge the two increasing pivot lists.
     ccols = ncols[cpiv]
     at_l = np.arange(lcols.size) + np.searchsorted(ccols, lcols)

@@ -36,7 +36,7 @@ def _monomials_desc_lex(num_vars: int, degree: int) -> list[Exponents]:
 class MonomialBasis:
     """All exponent tuples of a fixed total degree, in descending lex order."""
 
-    __slots__ = ("num_vars", "degree", "monomials", "_index", "_keys")
+    __slots__ = ("num_vars", "degree", "monomials", "_index", "_exponents", "_keys")
 
     def __init__(self, num_vars: int, degree: int):
         if num_vars < 1:
@@ -47,6 +47,7 @@ class MonomialBasis:
         self.degree = degree
         self.monomials: tuple[Exponents, ...] = tuple(_monomials_desc_lex(num_vars, degree))
         self._index = {m: i for i, m in enumerate(self.monomials)}
+        self._exponents: np.ndarray | None = None
         self._keys: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -59,6 +60,20 @@ class MonomialBasis:
     def index(self, exponents: Sequence[int]) -> int:
         return self._index[tuple(exponents)]
 
+    @property
+    def exponents(self) -> np.ndarray:
+        """The monomials as a read-only array, one row each, built once.
+
+        Its dtype is the smallest unsigned one that holds ``degree``: bases
+        stay cached, and ``sum_index`` widens to int64 only for its product.
+        """
+        if self._exponents is None:
+            dtype = np.min_scalar_type(self.degree)
+            e = np.array(self.monomials, dtype=dtype).reshape(self.dim, self.num_vars)
+            e.flags.writeable = False
+            self._exponents = e
+        return self._exponents
+
     def _key_weights(self) -> np.ndarray:
         """Place values of the mixed-radix key: exponents are digits in base
         degree + 1, x0 most significant, so descending lex order is
@@ -70,17 +85,23 @@ class MonomialBasis:
             )
         return base ** np.arange(self.num_vars - 1, -1, -1, dtype=np.int64)
 
-    def _exponent_keys(self, monomials: Sequence[Exponents], weights: np.ndarray) -> tuple[np.ndarray, int]:
+    def _exponent_keys(
+        self, monomials: Sequence[Exponents] | np.ndarray, weights: np.ndarray
+    ) -> tuple[np.ndarray, int]:
         """Keys of homogeneous ``monomials`` and their common degree."""
-        e = np.array(monomials, dtype=np.int64).reshape(len(monomials), -1)
+        e = np.asarray(monomials, dtype=np.int64).reshape(len(monomials), -1)
         degrees = e.sum(axis=1)
         if e.shape[1] != self.num_vars or e.min() < 0 or (degrees != degrees[0]).any():
             raise KeyError("monomials must be homogeneous exponent tuples of the basis arity")
         return e @ weights, int(degrees[0])
 
-    def sum_index(self, left: Sequence[Exponents], right: Sequence[Exponents]) -> np.ndarray:
+    def sum_index(
+        self, left: Sequence[Exponents] | np.ndarray, right: Sequence[Exponents] | np.ndarray
+    ) -> np.ndarray:
         """Index of u + v in this basis for u in ``left`` and v in ``right``,
-        as an int64 array of shape (len(left), len(right)).
+        as an int64 array of shape (len(left), len(right)).  Either side may
+        be exponent tuples or an integer array of them, one row each, such
+        as ``MonomialBasis.exponents``, which is built only once.
 
         The key is linear in the exponents, so key(u + v) = key(u) + key(v);
         a sum of nonnegative exponent tuples of total degree ``degree`` is a
@@ -88,7 +109,7 @@ class MonomialBasis:
         Raises KeyError when the degrees of ``left`` and ``right`` do not add
         up to ``degree``.
         """
-        if not left or not right:
+        if len(left) == 0 or len(right) == 0:
             return np.zeros((len(left), len(right)), dtype=np.int64)
         weights = self._key_weights()
         lk, ldeg = self._exponent_keys(left, weights)
@@ -97,7 +118,7 @@ class MonomialBasis:
             raise KeyError(f"degrees {ldeg} + {rdeg} do not add up to {self.degree}")
         if self._keys is None:
             # Ascending keys: the basis read backwards.
-            self._keys = np.array(self.monomials[::-1], dtype=np.int64) @ weights
+            self._keys = self.exponents[::-1] @ weights
         pos = np.searchsorted(self._keys, lk[:, None] + rk[None, :])
         return self.dim - 1 - pos
 

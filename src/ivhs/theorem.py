@@ -226,8 +226,8 @@ def _pairing_matrix(ctx: JacobianContext, a: int, b: int) -> Matrix:
     sp = ctx.piece(ctx.socle_degree)
     if sp.dim != 1:
         raise SingularInputError("socle is not one-dimensional; fixture is singular")
-    rows_basis = ctx.piece(a).standard_monomials
-    cols_basis = ctx.piece(b).standard_monomials
+    rows_basis = ctx.piece(a).standard_exponents
+    cols_basis = ctx.piece(b).standard_exponents
     cols = sp.ambient.sum_index(rows_basis, cols_basis)
     return sp.classes(cols.ravel()).reshape(len(rows_basis), len(cols_basis))
 
@@ -472,14 +472,13 @@ def _canonical_sides(ctx: JacobianContext, pairs: np.ndarray):
     # index into them.
     elems = np.flatnonzero(np.bincount(pairs.ravel()))
     x, y = np.searchsorted(elems, pairs).T
-    basis_e = ctx.piece(d).standard_monomials
-    mons = [basis_e[g] for g in elems.tolist()]
+    mons = ctx.piece(d).standard_exponents[elems]
     # q(g_j) and alpha(g_j) are the class matrices of column j: the ambient
     # monomials u * g_j of R^(b+d), u standard in R^b, and v * g_j of R^b,
     # v standard in R^a.
-    q_cols = top.ambient.sum_index(mid.standard_monomials, mons)
+    q_cols = top.ambient.sum_index(mid.standard_exponents, mons)
     nonzero = bool(top.quotient.nonzero(q_cols).any(axis=0).all())
-    a_cols = mid.ambient.sum_index(ctx.piece(a).standard_monomials if a >= 0 else (), mons)
+    a_cols = mid.ambient.sum_index(ctx.piece(a).standard_exponents if a >= 0 else (), mons)
     dim_a = a_cols.shape[0]
 
     def side(x, y):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -447,6 +448,28 @@ def _zero_rows_and_cols(rng, p):
     return np.insert(a, [0, 7, 16], 0, axis=1)
 
 
+def _two_rounds(rng, p):
+    # Ten structural rows in one level on columns 0-9, then rows that repeat
+    # their leads: combinations of them plus a block C0 on columns 10-29,
+    # which is exactly their Schur complement.  C0 is eight structural rows
+    # in one level, a combination of two of them and three dense rows, so
+    # the complement passes the gate again and its own complement, three
+    # dense rows, goes to the dense core.
+    s = np.zeros((10, 30), dtype=np.int64)
+    s[np.arange(10), np.arange(10)] = rng.integers(1, p, size=10)
+    s[:, 10:] = rng.integers(0, p, size=(10, 20))
+    c0 = np.zeros((12, 20), dtype=np.int64)
+    c0[np.arange(8), 2 * np.arange(8)] = rng.integers(1, p, size=8)
+    c0[:8, 16:] = rng.integers(0, p, size=(8, 4))
+    c0[8] = (3 * c0[1] + 5 * c0[6]) % p
+    c0[9:, 15:] = rng.integers(0, p, size=(3, 5))
+    g = rng.integers(0, p, size=(12, 10)) * (rng.random((12, 10)) < 0.5)
+    g[:, 0] = rng.integers(1, p, size=12)  # every such row leads column 0
+    rest = (g.astype(object) @ s.astype(object)) % p
+    rest[:, 10:] = (rest[:, 10:] + c0) % p
+    return np.vstack([s, rest.astype(np.int64)])
+
+
 _STRUCTURAL_INPUTS = {
     "scaled_permutation": _scaled_permutation,
     "macaulay": _macaulay,
@@ -454,7 +477,50 @@ _STRUCTURAL_INPUTS = {
     "dense": _dense,
     "repeated_leads": _repeated_leads,
     "zero_rows_and_cols": _zero_rows_and_cols,
+    "two_rounds": _two_rounds,
 }
+
+# Structural splits that one rank, rref or kernel takes at the default gate,
+# where the construction fixes them.  A split pays only with several pivots
+# per dependency level: the bidiagonal chain (nine pivots in nine levels) and
+# the five leads of repeated_leads go to the dense core.  The chains of the
+# random Macaulay-like inputs vary in depth: their first split is checked
+# against the gate's rule on a plain count of their levels.
+_SPLITS = {"scaled_permutation": 1, "two_rounds": 2, "bidiagonal_chain": 0, "dense": 0, "repeated_leads": 0}
+
+
+def _dependency_depth(a):
+    """Levels of the structural rows' dependency DAG: its longest chain."""
+    first = {}  # lead column -> first row leading it
+    for i, row in enumerate(a.tolist()):
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is not None and lead not in first:
+            first[lead] = i
+    depth = {}
+    for col in sorted(first, reverse=True):  # a row needs only leads right of its own
+        row = a[first[col]]
+        depth[col] = 1 + max((depth[c] for c in depth if row[c]), default=0)
+    return max(depth.values(), default=0)
+
+
+# With a ratio of 1/4 the gate takes every split: a split never has more
+# dependency levels than pivots.
+_OPEN_GATE = 0.25
+
+
+def _count_splits(monkeypatch) -> list[int]:
+    """Record the pivot count of every split the structural stage takes."""
+    taken = []
+    stage = linalg._structural_stage
+
+    def counted(a, p):
+        out = stage(a, p)
+        if out[0].size:
+            taken.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(linalg, "_structural_stage", counted)
+    return taken
 
 
 def _structural_pivots(a):
@@ -481,13 +547,28 @@ def _assert_agrees_with_oracle(field, arr):
 # core with panel 1, where every product of the stage takes the int64 path.
 @pytest.mark.parametrize("p", [10007, 8388593, 2147483629])
 @pytest.mark.parametrize("kind", sorted(_STRUCTURAL_INPUTS))
-def test_structural_stage_agrees_with_oracle(kind, p):
+def test_structural_stage_agrees_with_oracle(kind, p, monkeypatch):
+    # Each input takes its path at the default gate, and every input is
+    # checked once more with the gate open, so the stage's solve, Schur
+    # complement and merge run on all of them.
     field = FieldSpec.prime(p)
+    taken = _count_splits(monkeypatch)
     for trial in range(3):
         arr = _STRUCTURAL_INPUTS[kind](np.random.default_rng((trial, p % 1000)), p)
         k = _structural_pivots(arr)
-        assert (k == 1) if kind == "dense" else (k >= linalg._STRUCTURAL_MIN)
+        assert (k == 1) if kind == "dense" else (k >= 5)
+        taken.clear()
         _assert_agrees_with_oracle(field, arr)
+        if kind in _SPLITS:
+            assert len(taken) == 3 * _SPLITS[kind]
+        else:
+            pays = k >= linalg._PIVOTS_PER_LEVEL * (_dependency_depth(arr) + 2)
+            assert taken[:1] == ([k] if pays else [])
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_PIVOTS_PER_LEVEL", _OPEN_GATE)
+            taken.clear()
+            _assert_agrees_with_oracle(field, arr)
+            assert taken and taken[0] == k
 
 
 @pytest.mark.parametrize("p", [10007, 8388593, 2147483629])
@@ -501,23 +582,26 @@ def test_structural_stage_on_empty_shapes(p):
 @pytest.mark.parametrize("branch", ["entries", "block"])
 def test_structural_stage_sparse_product_branches(branch, p, monkeypatch):
     # Shifts of a two-term generator plus combinations of two shifts: the
-    # Schur complement is zero.  Every product of the stage takes one branch
-    # of _sub_entries; the entry-by-entry one runs in chunks of 5 entries, so
-    # every row's terms are split.  The result must match the dense core alone.
+    # Schur complement is zero.  With the gate open every product of the
+    # stage takes one branch of _sub_entries; the entry-by-entry one runs in
+    # chunks of 5 entries, so every row's terms are split.  The result must
+    # match the dense core alone.
     field = FieldSpec.prime(p)
     arr = _macaulay(np.random.default_rng(p % 1000), p, gens=1, terms=2, width=8, cols=300, dependent=60)
     mat = Matrix.from_array(field, arr)
-    stage_min = linalg._STRUCTURAL_MIN
-    monkeypatch.setattr(linalg, "_STRUCTURAL_MIN", arr.shape[0] + 1)
+    taken = _count_splits(monkeypatch)
+    monkeypatch.setattr(linalg, "_PIVOTS_PER_LEVEL", arr.shape[0] + 1)
     dense = (mat.rref(), mat.rank(), mat.kernel_basis())
-    monkeypatch.setattr(linalg, "_STRUCTURAL_MIN", stage_min)
+    assert not taken
+    monkeypatch.setattr(linalg, "_PIVOTS_PER_LEVEL", _OPEN_GATE)
     monkeypatch.setattr(linalg, "_ENTRY_CHUNK", 5)
     monkeypatch.setattr(linalg, "_macs_per_entry", lambda p, inner: 0 if branch == "entries" else 1 << 62)
     assert (mat.rref(), mat.rank(), mat.kernel_basis()) == dense
+    assert taken == [293] * 3
 
 
 @pytest.mark.parametrize("p", [10007, 2147483629])
-def test_structural_stage_keeps_the_first_row_per_lead(p):
+def test_structural_stage_keeps_the_first_row_per_lead(p, monkeypatch):
     a = np.array(
         [
             [0, 2, 4, 0, 6, 0, 0],  # leads column 1 first: structural
@@ -530,6 +614,12 @@ def test_structural_stage_keeps_the_first_row_per_lead(p):
         ],
         dtype=np.int64,
     )
+    # Five pivots in two levels do not pay at the default gate: the split
+    # is the degenerate one, and the complement is the nonzero rows.
+    lcols, ncols, b, c = linalg._structural_stage(a, p)
+    assert lcols.size == b.shape[0] == 0 and ncols.tolist() == list(range(7))
+    assert c.tolist() == a[:6].tolist()
+    monkeypatch.setattr(linalg, "_PIVOTS_PER_LEVEL", _OPEN_GATE)
     lcols, ncols, b, c = linalg._structural_stage(a, p)
     assert lcols.tolist() == [0, 1, 3, 5, 6] and ncols.tolist() == [2, 4]
     # [I | B] on (L, N).  Row 0 is halved; row 1 loses 5 * (row 3) and
@@ -537,3 +627,57 @@ def test_structural_stage_keeps_the_first_row_per_lead(p):
     assert b.tolist() == [[0, -10 * pow(3, p - 2, p) % p], [2, 3], [0, 2], [0, 0], [0, 0]]
     # Row 2 minus 1 * (halved row 0), on N.
     assert c.tolist() == [[p - 2, p - 3]]
+
+
+# ---------------------------------------------------------------------------
+# dense core
+# ---------------------------------------------------------------------------
+
+
+def _dense_core_input(rng, p, m, w):
+    # Rank deficient, with leading zeros that force row swaps, a zero row
+    # and, when wide enough, a zero column.  Its rows lead at most three
+    # columns, so no structural split is taken.
+    r = max(1, min(m, w) // 2)
+    left = rng.integers(0, p, size=(m, r)).astype(object)
+    a = ((left @ rng.integers(0, p, size=(r, w)).astype(object)) % p).astype(np.int64)
+    a[: m // 2, : min(2, w - 1)] = 0
+    a[m // 3] = 0
+    if w > 2:
+        a[:, w // 2] = 0
+    return a
+
+
+@pytest.mark.parametrize("p", [10007, 8388593, 2147483629])
+def test_dense_core_agrees_with_oracle_at_panel_widths(p, monkeypatch):
+    # Widths 1, panel - 1, panel and panel + 1 (panel 128 on float64, 1 at
+    # the int64 prime), wide and tall: one panel, one full panel, and a
+    # trailing column updated by the panel's multipliers.
+    field = FieldSpec.prime(p)
+    _, panel = linalg._elim_dtype_and_panel(p)
+    rng = np.random.default_rng(p % 1000)
+    taken = _count_splits(monkeypatch)
+    for w in sorted({1, panel - 1, panel, panel + 1} - {0}):
+        for m in (3, 40):
+            _assert_agrees_with_oracle(field, _dense_core_input(rng, p, m, w))
+    assert not taken
+
+
+def test_dense_elimination_peak_memory():
+    # A dense input falls through to the core, whose float64 copy is built
+    # transposed; the other large array is one rank-1 temporary no larger
+    # than that copy.  The earlier core (row layout, a panel copy and a
+    # multiplier array beside the copy) peaked at 4.10 times the input's
+    # bytes for rref and 1.23 for rank on this input; this one at 2.06 and
+    # 1.12.
+    a = np.random.default_rng(0).integers(0, 10007, size=(2400, 100))
+    peaks = []
+    for run in (linalg._fp_rref, linalg._fp_rank):
+        tracemalloc.start()
+        try:
+            run(a, 10007)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 2.25 * a.nbytes
+    assert peaks[1] <= 1.2 * a.nbytes

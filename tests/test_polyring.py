@@ -91,12 +91,18 @@ def test_sum_index_matches_dict_lookup(num_vars, left_deg, right_deg):
     # A subset in arbitrary order, as standard monomials are passed.
     sub = left[::-2]
     assert np.array_equal(amb.sum_index(sub, right), _dict_sum_index(amb, sub, right))
+    # Exponent arrays, as bases and pieces keep them, on either side.
+    exps = basis(num_vars, left_deg).exponents
+    assert exps.tolist() == [list(e) for e in left]
+    assert np.array_equal(amb.sum_index(exps, right), got)
+    assert np.array_equal(amb.sum_index(exps[::-2], basis(num_vars, right_deg).exponents), _dict_sum_index(amb, sub, right))
 
 
 def test_sum_index_empty_sides():
     amb = basis(3, 4)
     assert amb.sum_index([], basis(3, 2).monomials).shape == (0, 6)
     assert amb.sum_index(basis(3, 2).monomials, ()).shape == (6, 0)
+    assert amb.sum_index(basis(3, 2).exponents[:0], basis(3, 2).exponents).shape == (0, 6)
 
 
 def test_sum_index_refuses_wrong_degrees():
@@ -104,6 +110,8 @@ def test_sum_index_refuses_wrong_degrees():
     two, three = basis(3, 2).monomials, basis(3, 3).monomials
     with pytest.raises(KeyError):
         amb.sum_index(two, three)  # degree 5, whose keys can alias degree-4 ones
+    with pytest.raises(KeyError):
+        amb.sum_index(basis(3, 2).exponents, basis(3, 3).exponents)
     with pytest.raises(KeyError):
         amb.sum_index([(2, 0, 0), (1, 0, 0)], [(1, 1, 0)])  # left not homogeneous
     with pytest.raises(KeyError):

@@ -11,11 +11,15 @@ import pytest
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.TARGETS
+    return tracing
+
+
+def _targets():
+    return _tracing().TARGETS
 
 
 @pytest.mark.parametrize("module, attr", [(m, a) for m, a, _ in _targets()])
@@ -26,3 +30,30 @@ def test_trace_target_resolves(module, attr):
         owner = getattr(owner, cls)
     # Methods are wrapped on their class, so they must be defined there.
     assert name in vars(owner), f"ivhs.{module}.{attr}"
+
+
+@pytest.mark.parametrize("op", ["rref", "rank", "kernel_basis"])
+def test_one_elimination_is_one_traced_call(op):
+    # The F_p elimination recurses on Schur complements; the recursion must
+    # not go through a name the tracer wraps, or one elimination would
+    # record nested linalg.elim spans.  This input takes two structural
+    # splits.
+    import numpy as np
+
+    from ivhs.fields import FieldSpec
+    from ivhs.linalg import Matrix
+    from test_linalg import _two_rounds
+
+    tracing = _tracing()
+    p = 10007
+    mat = Matrix.from_array(FieldSpec.prime(p), _two_rounds(np.random.default_rng(3), p))
+    rec = tracing.SpanRecorder()
+    tracer = tracing.Tracer(rec)
+    tracer.install()
+    try:
+        getattr(mat, op)()
+    finally:
+        tracer.uninstall()
+    names = [rec.names[i] for i in rec.name]
+    assert names.count("linalg._fp_rref") == (0 if op == "rank" else 1)
+    assert rec.counts["elim_calls"] == 1
