@@ -19,6 +19,19 @@ ideal primary to the irrelevant one, so they form a regular sequence and R
 has Hilbert series ((1-t^(d-1))/(1-t))^N, a one-dimensional socle in degree
 sigma and nothing beyond, in every characteristic.  A monomial ideal is
 Artinian iff every variable has a pure power among the generators.
+
+Any other ideal reads R^(sigma+1) off the piece R^sigma, by the Koszul
+isomorphism for m >= d - 1:
+
+    R^(m+1) = (R^m)^N / span{ [x_j v] e_i - [x_i v] e_j : i < j, v in S_(m-1) }.
+
+Proof.  (v_k) -> sum_k x_k v_k maps (S_m)^N onto S_(m+1) and J_m^N into
+J_(m+1), so it induces a surjection (R^m)^N -> R^(m+1).  J is generated in
+degree d - 1 <= m, so J_(m+1) = S_1 J_m: if sum_k x_k v_k lies in J_(m+1),
+it equals sum_k x_k u_k with u_k in J_m, and by exactness of the Koszul
+complex of x_0, ..., x_(N-1) the tuple (v_k - u_k) is a sum of the
+relations above.  So dim R^(m+1) = N dim R^m - rank K_m, K_m the matrix of
+those relations (``koszul_matrix``).
 """
 
 from __future__ import annotations
@@ -41,7 +54,8 @@ from .polyring import (
     partial_derivative,
 )
 
-#: Guard for socle_check: refuse ambient graded pieces beyond this size.
+#: Guard for socle_check: refuse a non-monomial ideal whose degree-(sigma+1)
+#: ambient dimension is beyond this size, checked before any piece is built.
 SOCLE_DIMENSION_GUARD = 10_000_000
 
 
@@ -270,6 +284,32 @@ def macaulay_injectivity_check(ctx: JacobianContext, a: int, b: int) -> bool:
     return action_matrix(ctx, a, b).rank() == dim_a
 
 
+def koszul_matrix(ctx: JacobianContext, m: int) -> Matrix:
+    """The Koszul relations K_m on (R^m)^N, for m >= d - 1 and N = num_vars.
+
+    Row p * dim S_(m-1) + s, for the p-th pair i < j in row-major order and
+    the s-th monomial v of S_(m-1), is [x_j v] e_i - [x_i v] e_j: column
+    block k (columns k * dim R^m onwards) holds the coordinates of e_k.  By
+    the module docstring its rank is N dim R^m - dim R^(m+1).
+    """
+    piece = ctx.piece(m)
+    nv, dim = ctx.num_vars, piece.dim
+    src = basis(nv, m - 1)
+    i, j = np.triu_indices(nv, 1)
+    check_dense_budget(i.size * src.dim, nv * dim, what=f"Koszul relations in degree {m}")
+    # Row s * nv + k of the table is the class of x_k times monomial s of
+    # S_(m-1), row half + s * nv + k its negative, and the last row zero.
+    cls = piece.classes(piece.ambient.sum_index(src.exponents, basis(nv, 1).exponents).ravel()).transpose()
+    half = cls.rows
+    table = Matrix.vstack([cls, -cls, Matrix.zeros(ctx.field, 1, dim)])
+    # Block k of row (p, s) is table row pick[p, s, k].
+    pick = np.full((i.size, src.dim, nv), 2 * half, dtype=np.intp)
+    s = nv * np.arange(src.dim)
+    pick[np.arange(i.size), :, i] = s + j[:, None]
+    pick[np.arange(i.size), :, j] = half + s + i[:, None]
+    return table.row_select(pick.ravel()).reshape(i.size * src.dim, nv * dim)
+
+
 def socle_check(ctx: JacobianContext) -> bool:
     """dim R^sigma == 1 and dim R^(sigma+1) == 0 for sigma = (n+2)(d-2).
 
@@ -278,8 +318,12 @@ def socle_check(ctx: JacobianContext) -> bool:
     Hilbert series ((1-t^(d-1))/(1-t))^(n+2), whose top coefficient is 1 in
     degree sigma, in every characteristic.  A monomial ideal is Artinian iff
     each variable has a nonzero pure-power generator, a set test that builds
-    no piece; any other ideal ranks its degree-(sigma+1) matrix and caches
-    no piece.
+    no piece.  Any other ideal builds and caches the piece R^sigma, which
+    must have dimension 1, and then R^(sigma+1) = 0 iff the Koszul
+    relations K_sigma on (R^sigma)^N have rank N (module docstring); no
+    degree-(sigma+1) matrix is built.  Only d = 2 has sigma < d - 1, where
+    the isomorphism does not apply: there the piece R^(sigma+1) = R^1 is
+    built and cached instead.
     """
     if ctx.has_monomial_ideal:
         powers = {i for g in ctx.generators for e, _ in g.terms() for i, k in enumerate(e) if k == sum(e)}
@@ -291,9 +335,12 @@ def socle_check(ctx: JacobianContext) -> bool:
             f"socle check needs the degree-{sigma + 1} piece of dimension {amb_dim}, "
             f"beyond the guard of {SOCLE_DIMENSION_GUARD}"
         )
-    # R^(sigma+1) = 0 iff the ideal fills its ambient space.  sigma + 1 =
-    # (n+2)(d-2) + 1 is at least d - 1, so the ideal piece has rows.
-    return ctx._ideal_matrix(basis(ctx.num_vars, sigma + 1)).rank() == amb_dim
+    if sigma < ctx.d - 1:
+        return ctx.piece(sigma + 1).dim == 0
+    # An Artinian R is a complete intersection, with dim R^sigma = 1.
+    if ctx.piece(sigma).dim != 1:
+        return False
+    return koszul_matrix(ctx, sigma).rank() == ctx.num_vars
 
 
 @dataclass(frozen=True)

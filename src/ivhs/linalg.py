@@ -742,6 +742,8 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
+
+
 class QuotientMap:
     """F^n -> F^n / rowspace(R) for the rank rows R of an RREF, in the
     coordinates of the non-pivot (free) columns.

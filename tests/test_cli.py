@@ -10,6 +10,10 @@ from ivhs.cli import main
 SMOOTH_SEXTIC = "x0^6 + x1^6 + x2^6 + x3^6 + x4^6 + x0*x1*x2*x3*x4*x0"
 # A quartic surface with three mixed terms, as the verify-dense benchmark draws.
 DENSE_QUARTIC = "x0^4+x1^4+x2^4+x3^4+3*x0^2*x1*x3+x1*x2^3+5*x0*x1*x2*x3"
+CUBIC_SURFACE = "x0^3+x1^3+x2^3+x3^3+x0*x1*x2"
+QUINTIC_THREEFOLD = "x0^5+x1^5+x2^5+x3^5+x4^5+2*x0*x1*x2*x3*x4"
+# One node at (0:0:0:1); dim R^8 = 1 as on a smooth quartic surface.
+NODAL_QUARTIC = "x3^2*x0^2+x3^2*x1^2+x3^2*x2^2+x0^4+x1^4+x2^4"
 
 
 def run(capsys, argv):
@@ -300,6 +304,13 @@ class TestVerifyTheoremCommand:
         )
         assert code == 3
 
+    def test_nodal_quartic_full_exit_three(self, capsys, tmp_path):
+        # Only the rank of the Koszul relations on R^8 sees the node.
+        f = tmp_path / "nodal.txt"
+        f.write_text(NODAL_QUARTIC)
+        code, out, err = run(capsys, ["verify-theorem", "--poly", str(f), "--socle-mode", "full"])
+        assert code == 3 and not out and "socle" in err
+
     def test_witness_on_fermat_sextic(self, capsys):
         code, out, _ = run(capsys, ["verify-theorem", "--fermat", "3", "6"])
         assert code == 0
@@ -337,8 +348,51 @@ class TestVerifyTheoremCommand:
                     "socle_points_checked": 0, "symmetrizer_pairs_checked": 60, "verdict": "Inconclusive",
                 },
             ),
+            (
+                ["--poly", CUBIC_SURFACE],
+                {
+                    "canonical_symmetrizer_nonzero": False, "d": 3, "dims": {"dim_E": 4, "h_n0": 0, "h_n1_1": 6},
+                    "dims_match": True, "fixture": "poly(6af3d2b3e9db)", "in_theorem_range": False,
+                    "inequality_holds": None, "n": 2,
+                    "notes": [
+                        "outside theorem range (needs n >= 3 and d >= n + 3); report-only",
+                        "degree d-(n+2) is negative; p_0 injectivity degenerate",
+                        "a sampled multiplication map is zero",
+                    ],
+                    "p0_injective": False, "p1_injective": False, "prime": 10007, "socle_mode": "full",
+                    "socle_points_checked": 0, "symmetrizer_pairs_checked": 6, "verdict": "Inconclusive",
+                },
+            ),
+            (
+                ["--poly", QUINTIC_THREEFOLD, "--socle-mode", "full"],
+                {
+                    "canonical_symmetrizer_nonzero": True, "d": 5, "dims": {"dim_E": 101, "h_n0": 1, "h_n1_1": 101},
+                    "dims_match": True, "fixture": "poly(dc7b64a12aee)", "in_theorem_range": False,
+                    "inequality_holds": None, "n": 3,
+                    "notes": ["outside theorem range (needs n >= 3 and d >= n + 3); report-only"],
+                    "p0_injective": True, "p1_injective": True, "prime": 10007, "socle_mode": "full",
+                    "socle_points_checked": 0, "symmetrizer_pairs_checked": 60, "verdict": "Inconclusive",
+                },
+            ),
+            (
+                # The degree-20 ideal piece, 19380 x 10626, is over the
+                # default budget: auto mode falls back to the probe.
+                ["--poly", SMOOTH_SEXTIC],
+                {
+                    "canonical_symmetrizer_nonzero": True, "d": 6, "dims": {"dim_E": 185, "h_n0": 5, "h_n1_1": 255},
+                    "dims_match": True, "fixture": "poly(44db4fe2249b)", "in_theorem_range": True,
+                    "inequality_holds": True, "n": 3,
+                    "notes": [
+                        "socle check beyond budget; fell back to the point probe",
+                        "smoothness probed at 14 points, not proven",
+                    ],
+                    "p0_injective": True, "p1_injective": True, "prime": 10007, "socle_mode": "cheap",
+                    "socle_points_checked": 14, "symmetrizer_pairs_checked": 60,
+                    "verdict": "NonGenericityWitnessed",
+                },
+            ),
         ],
-        ids=["fermat(3,6)", "quartic-surface"],
+        ids=["fermat(3,6)", "quartic-surface", "cubic-surface", "quintic-threefold-full", "sextic-auto"],
     )
     def test_report_pinned(self, capsys, tmp_path, argv, report):
         # Recorded output: stdout stays byte-identical across changes.  A
@@ -346,7 +400,7 @@ class TestVerifyTheoremCommand:
         if argv[0] == "--poly":
             path = tmp_path / "f.txt"
             path.write_text(argv[1])
-            argv = ["--poly", str(path)]
+            argv = ["--poly", str(path), *argv[2:]]
         code, out, _ = run(capsys, ["verify-theorem", *argv])
         assert code == 0
         assert json.dumps(payload(out)["report"]) == json.dumps(report)

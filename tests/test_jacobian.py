@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 
-from ivhs.errors import BudgetExceededError, PreconditionError
+from ivhs.errors import BudgetExceededError, PreconditionError, SingularInputError
 from ivhs.fields import QQ, FieldSpec, default_prime_field
 from ivhs.jacobian import (
     SOCLE_DIMENSION_GUARD,
     JacobianContext,
     action_matrix,
     graded_table,
+    koszul_matrix,
     macaulay_injectivity_check,
     multiplication_map,
     smoothness_probe,
@@ -21,6 +23,7 @@ from ivhs.jacobian import (
 )
 from ivhs.linalg import Matrix
 from ivhs.polyring import HomogeneousPoly, basis, graded_dimension, multiply, parse_poly
+from ivhs.theorem import verify_theorem
 
 from oracle import naive_poly_mul, naive_rank_mod, naive_rref_fraction
 
@@ -290,14 +293,38 @@ def _socle_two_pieces(ctx):
 
 
 SEED_913_QUARTIC = "x0^4+1613*x0^2*x1*x2+1736*x0^2*x2*x3+x1^4+x2^4-2*x2^2*x3^2+x3^4"
+# One node each, at (0:0:0:1) or (0:0:0:0:1): dim R^sigma = 1 as on a smooth
+# fixture, but dim R^(sigma+1) = 1, so only the Koszul rank rejects them.
+NODAL = {
+    "nodal-cubic-surface": ("x3*x0^2+x3*x1^2+x3*x2^2+x0^3+x1^3+x2^3", 4),
+    "nodal-quartic-surface": ("x3^2*x0^2+x3^2*x1^2+x3^2*x2^2+x0^4+x1^4+x2^4", 4),
+    "nodal-cubic-threefold": ("x4*x0^2+x4*x1^2+x4*x2^2+x4*x3^2+x0^3+x1^3+x2^3+x3^3", 5),
+}
+
+
+def _poly_fixture(text, num_vars=4):
+    return lambda fld: JacobianContext(parse_poly(text, fld, num_vars=num_vars))
+
+
 SOCLE_FIXTURES = {
     "fermat(2,4)": lambda fld: JacobianContext.fermat(2, 4, field=fld),
     "fermat(3,3)": lambda fld: JacobianContext.fermat(3, 3, field=fld),
     "fermat(3,5)": lambda fld: JacobianContext.fermat(3, 5, field=fld),
     "cubic-surface": NORMAL_FORM_FIXTURES["cubic-surface"],
     "quartic-surface": NORMAL_FORM_FIXTURES["quartic-surface"],
-    "x0^6": lambda fld: JacobianContext(parse_poly("x0^6", fld, num_vars=5)),
+    "x0^6": _poly_fixture("x0^6", 5),
+    **{name: _poly_fixture(*args) for name, args in NODAL.items()},
+    # dim R^sigma = 2: refused before any rank.
+    "dim-R-sigma-2": _poly_fixture("x3*x0*x1+x0^3+x1^3+x2^3"),
+    "seed-913-quartic": _poly_fixture(SEED_913_QUARTIC),
+    # d = 2: sigma = 0 < d - 1, decided by the piece R^1.
+    "smooth-quadric": _poly_fixture("x0^2+x0*x1+x1^2+x2^2", 3),
+    "singular-quadric": _poly_fixture("x0^2+2*x0*x1+x1^2+x2^2", 3),
 }
+SMOOTH = {"fermat(2,4)", "fermat(3,3)", "fermat(3,5)", "cubic-surface", "quartic-surface", "smooth-quadric"}
+# Over Q the degree-9 ideal piece of a quartic surface (336 x 220), and the
+# degree-6 one of a cubic threefold, are too slow for Fraction elimination.
+SLOW_OVER_Q = {"quartic-surface", "nodal-quartic-surface", "seed-913-quartic", "nodal-cubic-threefold"}
 
 
 @pytest.mark.parametrize(
@@ -306,19 +333,86 @@ SOCLE_FIXTURES = {
         pytest.param(name, f.values[0], id=f"{name}-{f.id}")
         for name in SOCLE_FIXTURES
         for f in FIELD_PARAMS
-        # Over Q the quartic's degree-9 ideal piece (224 x 220) is too slow
-        # for Fraction elimination.
-        if not (name == "quartic-surface" and f.id == "QQ")
+        if not (name in SLOW_OVER_Q and f.id == "QQ")
     ],
 )
 def test_socle_check_matches_two_piece_definition(name, field):
     ctx = SOCLE_FIXTURES[name](field)
     got = socle_check(ctx)
-    # A monomial ideal builds no matrix; any other ideal only ranks its
-    # degree-(sigma+1) matrix.  Neither caches a piece.
-    assert ctx._pieces == {}
+    # A monomial ideal builds no piece.  Any other ideal caches R^sigma
+    # alone, which verify_theorem may read again, and builds no
+    # degree-(sigma+1) matrix, except at d = 2, where it caches R^1.
+    sigma = ctx.socle_degree
+    if ctx.has_monomial_ideal:
+        assert ctx._pieces == {}
+    else:
+        assert set(ctx._pieces) == {sigma + 1 if sigma < ctx.d - 1 else sigma}
     assert got == _socle_two_pieces(SOCLE_FIXTURES[name](field))
-    assert got == (name != "x0^6")
+    assert got == (name in SMOOTH)
+
+
+def _koszul_oracle(ctx, m):
+    """K_m row by row from single classes: block i of row (i, j, v) is
+    [x_j v], block j is -[x_i v]."""
+    piece = ctx.piece(m)
+    nv = ctx.num_vars
+
+    def cls(k, v):
+        return piece.classes([piece.ambient.index(tuple(e + (c == k) for c, e in enumerate(v)))]).transpose()
+
+    rows = []
+    for i in range(nv):
+        for j in range(i + 1, nv):
+            for v in basis(nv, m - 1).monomials:
+                blocks = [Matrix.zeros(ctx.field, 1, piece.dim)] * nv
+                blocks[i], blocks[j] = cls(j, v), -cls(i, v)
+                rows.append(Matrix.hstack(blocks))
+    return Matrix.vstack(rows)
+
+
+KOSZUL_FIXTURES = [
+    "cubic-surface",
+    "quartic-surface",
+    "nodal-cubic-surface",
+    "nodal-quartic-surface",
+    "dim-R-sigma-2",
+    "seed-913-quartic",
+]
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [
+        pytest.param(name, f.values[0], id=f"{name}-{f.id}")
+        for name in KOSZUL_FIXTURES
+        for f in FIELD_PARAMS
+        if not (name in SLOW_OVER_Q and f.id == "QQ")
+    ],
+)
+def test_koszul_rank_gives_the_next_piece(name, field):
+    # dim R^(m+1) = N dim R^m - rank K_m in every degree the isomorphism
+    # covers, up to one past the socle, with R^m of any dimension.  A wrong
+    # sign or a swapped pair still gives the gate's answer at sigma on
+    # every socle fixture; the rank shows it in the lower degrees, where
+    # dim R^m > 1.
+    ctx = SOCLE_FIXTURES[name](field)
+    nv = ctx.num_vars
+    for m in range(ctx.d - 1, ctx.socle_degree + 2):
+        k = koszul_matrix(ctx, m)
+        assert k == _koszul_oracle(ctx, m), m
+        assert k.shape == (comb(nv, 2) * graded_dimension(nv, m - 1), nv * ctx.piece(m).dim), m
+        assert nv * ctx.piece(m).dim - k.rank() == ctx.piece(m + 1).dim, m
+
+
+@pytest.mark.parametrize("field", [pytest.param(f.values[0], id=f.id) for f in FIELD_PARAMS[:2]])
+@pytest.mark.parametrize("name", list(NODAL))
+def test_socle_check_rank_decides_on_one_node(name, field):
+    ctx = SOCLE_FIXTURES[name](field)
+    sigma = ctx.socle_degree
+    assert not socle_check(ctx)
+    assert (ctx.piece(sigma).dim, ctx.piece(sigma + 1).dim) == (1, 1)
+    with pytest.raises(SingularInputError):
+        verify_theorem(SOCLE_FIXTURES[name](field), socle_mode="full")
 
 
 def test_socle_check_false_when_every_partial_vanishes():

@@ -261,6 +261,29 @@ class TestVerifyTheorem:
         with pytest.raises(SingularInputError):
             verify_theorem(JacobianContext(f), socle_mode="cheap")
 
+    def test_gate_reuses_the_socle_piece(self, monkeypatch):
+        # On a quartic surface sigma = 8 = b + d, the top degree the
+        # pipeline reads anyway: the gate adds no ideal matrix, and none in
+        # degree sigma + 1 = 9.
+        real = JacobianContext._ideal_matrix
+        degrees = []
+
+        def counted(self, amb):
+            degrees.append(amb.degree)
+            return real(self, amb)
+
+        monkeypatch.setattr(JacobianContext, "_ideal_matrix", counted)
+        rep = verify_theorem(JacobianContext(parse_poly(DENSE_QUARTIC, F)), socle_mode="full")
+        assert rep.socle_mode == "full" and rep.dims_match
+        assert sorted(degrees) == [4, 8]
+
+    def test_gate_proves_when_only_degree_sigma_fits(self, monkeypatch):
+        # The quartic's ideal matrix is 224 x 165 in degree 8 and 336 x 220
+        # in degree 9: a budget between the two still proves smoothness.
+        monkeypatch.setenv("IVHS_BUDGET_ENTRIES", str(224 * 165))
+        rep = verify_theorem(JacobianContext(parse_poly(DENSE_QUARTIC, F)))
+        assert (rep.socle_mode, rep.socle_points_checked) == ("full", 0)
+
     def test_bad_socle_mode(self):
         with pytest.raises(PreconditionError):
             verify_theorem(JacobianContext.fermat(3, 5), socle_mode="maybe")
