@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, PreconditionError, check_dense_budget
+from .errors import PreconditionError, check_dense_budget
 from .fields import FieldSpec, Scalar, default_prime_field
 from .linalg import Matrix, QuotientMap, _zeros
 from .polyring import (
@@ -53,11 +53,6 @@ from .polyring import (
     multiply,
     partial_derivative,
 )
-
-#: Guard for socle_check: refuse a non-monomial ideal whose degree-(sigma+1)
-#: ambient dimension is beyond this size, checked before any piece is built.
-SOCLE_DIMENSION_GUARD = 10_000_000
-
 
 class JacobianContext:
     """A homogeneous polynomial together with cached quotient-ring pieces."""
@@ -111,8 +106,11 @@ class JacobianContext:
     # -- piece construction -------------------------------------------------
 
     def _build_piece(self, m: int, method: str) -> "GradedQuotientPiece":
-        amb = basis(self.num_vars, m)
         src_deg = m - (self.d - 1)
+        if src_deg >= 0 and method == "dense":  # refused before any monomial is listed
+            rows = graded_dimension(self.num_vars, src_deg) * self.num_vars
+            check_dense_budget(rows, graded_dimension(self.num_vars, m), what=f"ideal piece in degree {m}")
+        amb = basis(self.num_vars, m)
         if src_deg < 0:
             return _piece_from_pivots(self.field, m, amb, [], None)
         if method == "monomial":
@@ -137,7 +135,6 @@ class JacobianContext:
         """The ideal piece in the degree of ``amb``, at least d - 1: one row
         per generator times monomial, one column per ambient monomial."""
         src = basis(self.num_vars, amb.degree - (self.d - 1))
-        check_dense_budget(src.dim * self.num_vars, amb.dim, what=f"ideal piece in degree {amb.degree}")
         terms = [list(g.terms()) for g in self.generators]
         # Term k (of all generators' terms in turn) of generator i times
         # monomial s is row (i, s), column cols[s, k]: no position twice.
@@ -329,12 +326,6 @@ def socle_check(ctx: JacobianContext) -> bool:
         powers = {i for g in ctx.generators for e, _ in g.terms() for i, k in enumerate(e) if k == sum(e)}
         return len(powers) == ctx.num_vars
     sigma = ctx.socle_degree
-    amb_dim = graded_dimension(ctx.num_vars, sigma + 1)
-    if amb_dim > SOCLE_DIMENSION_GUARD:
-        raise BudgetExceededError(
-            f"socle check needs the degree-{sigma + 1} piece of dimension {amb_dim}, "
-            f"beyond the guard of {SOCLE_DIMENSION_GUARD}"
-        )
     if sigma < ctx.d - 1:
         return ctx.piece(sigma + 1).dim == 0
     # An Artinian R is a complete intersection, with dim R^sigma = 1.

@@ -7,10 +7,11 @@ symmetrizer is a linear map q: E -> Hom(G^1, G^2) with
 
 Each row of q(alpha) in Hom(G^1, G^2) obeys the same conditions, independently
 of the other rows, so the space is Sym(E; F) (x) G^2: the conditions are
-assembled and solved for one row of q, and the kernel is tensored up.  The
-unknowns of that system are the k stacked rows y_a of q(alpha_a), and each
-pair contributes g0 equations, t(alpha_a) against column group b minus
-t(alpha_b) against column group a.
+assembled and solved for one row of q.  The unknowns of that system are the
+k stacked rows y_a of q(alpha_a), and each pair contributes g0 equations,
+t(alpha_a) against column group b minus t(alpha_b) against column group a.
+The kernel is verified once, its rows stacked as one q, and the g2-fold
+basis is built only when it is read.
 
 Witness constructions: an explicit rank-one pair when dim G^1 = 1, and the
 direct-sum construction for arbitrary (g0, g1) built from verified random
@@ -108,27 +109,48 @@ def symmetrizer_system(e: SubspaceE) -> Matrix:
 
 @dataclass(frozen=True)
 class SymmetrizerSpace:
-    """Sym(E; F) (x) G^2, the kernel of the symmetrizer system tensored up:
-    each basis element is a map q: E -> Hom(G^1, G^2) stored as a
-    k x (g2*g1) coordinate matrix, listed by its free unknown (a, i, t)."""
+    """Sym(E; F) (x) G^2: ``kernel`` holds the dim Sym(E; F) solutions of
+    the one-row system, row j free at unknown ``free[j]``.  Each basis
+    element places one kernel row in one row i of q; it is a map
+    q: E -> Hom(G^1, G^2) stored as a k x (g2*g1) coordinate matrix, listed
+    by its free unknown (a, i, t) and built only when read."""
 
     subspace: SubspaceE
-    dimension: int
-    basis: tuple[Matrix, ...]
+    kernel: Matrix
+    free: tuple[int, ...]
+
+    @property
+    def dimension(self) -> int:
+        return self.kernel.rows * self.subspace.setting.g2
+
+    @property
+    def basis(self) -> tuple[Matrix, ...]:
+        return tuple(self._element(i, j) for i, j in self._order())
 
     def element_maps(self, idx: int) -> list[Matrix]:
         """The values q(alpha_a) of basis element ``idx`` as g2 x g1 matrices."""
         s = self.subspace.setting
-        coord = self.basis[idx]
+        coord = self._element(*self._order()[idx])
         return [coord.row_select([a]).reshape(s.g2, s.g1) for a in range(coord.rows)]
+
+    def _order(self) -> list[tuple[int, int]]:
+        """(row i of q, kernel row j) of each element, in (a, i, t) order."""
+        g1, g2 = self.subspace.setting.g1, self.subspace.setting.g2
+        return [(i, j) for _, i, j in sorted((c // g1, i, j) for j, c in enumerate(self.free) for i in range(g2))]
+
+    def _element(self, i: int, j: int) -> Matrix:
+        s, k = self.subspace.setting, self.subspace.k
+        zero = Matrix.zeros(s.field, k, s.g1)
+        return Matrix.hstack([zero] * i + [self.kernel.row_select([j]).reshape(k, s.g1)] + [zero] * (s.g2 - 1 - i))
 
 
 def symmetrizer_space(e: SubspaceE, max_unknowns: int | None = None) -> SymmetrizerSpace:
     """Solve the symmetrizer system exactly.
 
     A system with full column rank has a zero kernel, proven by that one
-    rank.  Otherwise the system is reduced to RREF and every kernel element
-    is re-verified against the symmetrizer identity.
+    rank.  Otherwise the system is reduced to RREF and its kernel is
+    verified against the symmetrizer identity once, its rows stacked into
+    one q: stacked rows are a symmetrizer exactly when each row is.
     """
     s = e.setting
     cap = unknowns_budget() if max_unknowns is None else max_unknowns
@@ -145,25 +167,13 @@ def symmetrizer_space(e: SubspaceE, max_unknowns: int | None = None) -> Symmetri
     # A wide system has a kernel by counting, so only a tall or square one is
     # ranked first.
     if system.rows >= n and system.rank() == n:
-        return SymmetrizerSpace(e, 0, ())
+        return SymmetrizerSpace(e, Matrix.zeros(s.field, 0, n), ())
     r, pivots = system.rref()
     kernel = QuotientMap.of_rref(s.field, n, pivots, r).classes(range(n))  # one row of q per row
-    # Row j is free at the j-th non-pivot column a_j*g1 + t_j; the g2-fold
-    # kernel lists its vectors by free unknown (a, i, t), row j placed in row
-    # i of q.
-    group = np.delete(np.arange(n), pivots) // s.g1
-    order = sorted((group[j], i, j) for j in range(kernel.rows) for i in range(s.g2))
-    zero = Matrix.zeros(s.field, e.k, s.g1)
-    basis = tuple(
-        Matrix.hstack([zero] * i + [kernel.row_select([j]).reshape(e.k, s.g1)] + [zero] * (s.g2 - 1 - i))
-        for _, i, j in order
-    )
-    space = SymmetrizerSpace(e, len(basis), basis)
-    for j in range(space.dimension):
-        result = verify_candidate_symmetrizer(list(e.basis), space.element_maps(j))
-        if not result.holds:
-            raise AssertionError("kernel element fails the symmetrizer identity")
-    return space
+    q_values = [kernel.col_select(range(a * s.g1, (a + 1) * s.g1)) for a in range(e.k)]
+    if not verify_candidate_symmetrizer(list(e.basis), q_values).holds:
+        raise AssertionError("kernel fails the symmetrizer identity")
+    return SymmetrizerSpace(e, kernel, tuple(np.delete(np.arange(n), pivots).tolist()))
 
 
 def symmetrizer_dimension(e: SubspaceE, max_unknowns: int | None = None) -> int:
@@ -226,11 +236,8 @@ def lemma3_rank_one_construction(g0: int, g2: int = 1, field: FieldSpec | None =
 
 def _pad_rows(m: Matrix, total_rows: int, row_offset: int) -> Matrix:
     """Embed a block of rows into a taller zero matrix."""
-    field = m.field
-    top = Matrix.zeros(field, row_offset, m.cols)
-    bottom = Matrix.zeros(field, total_rows - row_offset - m.rows, m.cols)
-    parts = [p for p in (top, m, bottom) if p.rows > 0]
-    return Matrix.vstack(parts) if len(parts) > 1 else parts[0]
+    bottom = total_rows - row_offset - m.rows
+    return Matrix.vstack([Matrix.zeros(m.field, row_offset, m.cols), m, Matrix.zeros(m.field, bottom, m.cols)])
 
 
 def _pad_cols(m: Matrix, total_cols: int) -> Matrix:

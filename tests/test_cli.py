@@ -227,6 +227,13 @@ class TestSymmCommand:
                 },
             ),
             (
+                ["--dims", "3", "4", "4", "--k", "2", "--trials", "4", "--seed", "1"],
+                {
+                    "dimensions": [20, 20, 20, 20], "g0": 3, "g1": 4, "g2": 4, "k": 2, "seed": 1,
+                    "threshold": 6, "trials": 4, "zero_fraction": 0.0,
+                },
+            ),
+            (
                 ["--geometric", "fermat", "3", "6", "--pair-sample", "60"],
                 {
                     "canonical_symmetrizer": "nonzero", "fixture": "fermat(3,6)", "notes": [], "pairs_checked": 60,
@@ -234,7 +241,7 @@ class TestSymmCommand:
                 },
             ),
         ],
-        ids=["prop4-divisible", "prop4-fractional", "random", "geometric"],
+        ids=["prop4-divisible", "prop4-fractional", "random", "random-nonzero", "geometric"],
     )
     def test_report_pinned(self, capsys, argv, report):
         # Recorded output: stdout stays byte-identical across changes.

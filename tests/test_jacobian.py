@@ -8,10 +8,10 @@ from math import comb
 import numpy as np
 import pytest
 
+from ivhs import jacobian
 from ivhs.errors import BudgetExceededError, PreconditionError, SingularInputError
 from ivhs.fields import QQ, FieldSpec, default_prime_field
 from ivhs.jacobian import (
-    SOCLE_DIMENSION_GUARD,
     JacobianContext,
     action_matrix,
     graded_table,
@@ -431,10 +431,29 @@ def test_socle_check_rejects_singular_quartic_the_probe_passes():
 
 
 def test_socle_check_monomial_beyond_the_dimension_guard():
-    # R^43 of fermat(5, 8) has 13,983,816 ambient monomials.
+    # R^43 of fermat(5, 8) has 13,983,816 ambient monomials: the set test
+    # builds no piece.
     ctx = JacobianContext.fermat(5, 8)
-    assert graded_dimension(ctx.num_vars, ctx.socle_degree + 1) > SOCLE_DIMENSION_GUARD
+    assert graded_dimension(ctx.num_vars, ctx.socle_degree + 1) == 13_983_816
     assert socle_check(ctx)
+    assert ctx._pieces == {}
+
+
+def test_socle_check_refuses_before_enumerating_monomials(monkeypatch):
+    # A non-monomial octic in 7 variables: sigma = 42, where S_42 has
+    # 12,271,512 monomials.  The dense ideal piece is refused from its
+    # closed-form size, before basis(7, 42) is listed.
+    def small_bases_only(num_vars, degree, _orig=jacobian.basis):
+        if degree > 8:  # listing S_35 or S_42 would take gigabytes
+            raise AssertionError(f"basis({num_vars}, {degree}) was listed")
+        return _orig(num_vars, degree)
+
+    monkeypatch.setattr(jacobian, "basis", small_bases_only)
+    ctx = JacobianContext(parse_poly("x0^8+x1^8+x2^8+x3^8+x4^8+x5^8+x6^8+x0*x1*x2*x3*x4*x5*x6^2", FP))
+    assert not ctx.has_monomial_ideal and ctx.socle_degree == 42
+    assert graded_dimension(7, 42) == 12_271_512
+    with pytest.raises(BudgetExceededError, match="ideal piece in degree 42"):
+        socle_check(ctx)
     assert ctx._pieces == {}
 
 

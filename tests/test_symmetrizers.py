@@ -332,6 +332,37 @@ class TestRankGate:
         assert symmetrizer_space(wide).dimension > 0
         assert elim_calls == {"rref": 1}  # a wide system skips the rank
 
+    def test_kernel_is_verified_once_and_expanded_when_read(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, orig):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(symmetrizers, "verify_candidate_symmetrizer",
+                            counted("verify", symmetrizers.verify_candidate_symmetrizer))
+        monkeypatch.setattr(Matrix, "hstack", staticmethod(counted("hstack", Matrix.hstack)))
+        e = integer_subspace_e(CompositionSetting(3, 2, 2, F), 3, 2, "hyperplane")
+        space = symmetrizer_space(e)
+        assert space.dimension > 1
+        assert calls == {"verify": 1}
+        basis = space.basis
+        assert len(basis) == space.dimension and calls["hstack"] == space.dimension
+
+    @pytest.mark.parametrize("field", GATE_FIELDS, ids=lambda f: f.kind if not f.is_prime_field else str(f.modulus))
+    def test_corrupted_system_fails_the_check(self, monkeypatch, field):
+        # Dropping the first pair's g0 equations leaves kernel vectors that
+        # break that pair's identity: the one stacked check must catch them.
+        e = integer_subspace_e(CompositionSetting(2, 2, 1, field), 3, (2, 2, 1, 3))
+        system = symmetrizer_system(e)
+        corrupted = system.row_select(range(e.setting.g0, system.rows))
+        assert corrupted.rank() < system.rank() == system.cols
+        monkeypatch.setattr(symmetrizers, "symmetrizer_system", lambda _: corrupted)
+        with pytest.raises(AssertionError, match="symmetrizer identity"):
+            symmetrizer_space(e)
+
     @pytest.mark.parametrize("dims", [(2, 4, 1), (3, 6, 2), (2, 5, 1), (3, 5, 1)])
     def test_prop4_solves_each_subspace_once(self, monkeypatch, dims):
         solved = []
