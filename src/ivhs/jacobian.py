@@ -9,7 +9,9 @@ symmetrizer check, are sums of (monomial, column, coefficient) triplets, and
 classes(cols) is built only where a class matrix is needed.  Monomial
 ideals (Fermat fixtures) take a combinatorial path: the ideal piece is
 spanned by distinct monomials, so ranks are set counts and pivot monomials
-have class zero.  Everything else goes through exact dense
+have class zero, and the class of a product of monomials is 0 or a unit
+vector, so the injectivity of a multiplication action is a count of
+supports, with no matrix built.  Everything else goes through exact dense
 elimination, guarded by the entry budget.
 
 f is smooth exactly when the partials have no common zero, that is when
@@ -67,7 +69,11 @@ class JacobianContext:
         self.generators: tuple[HomogeneousPoly, ...] = tuple(
             partial_derivative(f, i) for i in range(f.num_vars)
         )
-        self.has_monomial_ideal = all(sum(1 for _ in g.terms()) <= 1 for g in self.generators)
+        # The nonzero terms of each generator, listed once for every reader.
+        self.generator_terms: tuple[tuple[tuple[Exponents, Scalar], ...], ...] = tuple(
+            tuple(g.terms()) for g in self.generators
+        )
+        self.has_monomial_ideal = all(len(ts) <= 1 for ts in self.generator_terms)
         self._pieces: dict[int, GradedQuotientPiece] = {}
 
     @staticmethod
@@ -121,7 +127,7 @@ class JacobianContext:
 
     def _build_piece_monomial(self, m: int, amb: MonomialBasis, src_deg: int) -> "GradedQuotientPiece":
         src = basis(self.num_vars, src_deg)
-        terms = [t for g in self.generators for t, _ in g.terms()]
+        terms = [t for ts in self.generator_terms for t, _ in ts]
         # Distinct monomials span the ideal piece: their columns are the
         # pivots, and the reduced rows are unit vectors.
         pivots = sorted(set(amb.sum_index(src.exponents, terms).ravel().tolist()))
@@ -135,7 +141,7 @@ class JacobianContext:
         """The ideal piece in the degree of ``amb``, at least d - 1: one row
         per generator times monomial, one column per ambient monomial."""
         src = basis(self.num_vars, amb.degree - (self.d - 1))
-        terms = [list(g.terms()) for g in self.generators]
+        terms = self.generator_terms
         # Term k (of all generators' terms in turn) of generator i times
         # monomial s is row (i, s), column cols[s, k]: no position twice.
         cols = amb.sum_index(src.exponents, [t for ts in terms for t, _ in ts])
@@ -250,19 +256,37 @@ def action_matrix(ctx: JacobianContext, a: int, b: int) -> Matrix:
     return gathered.reshape(src_a.dim, src_b.dim * tgt.dim).transpose()
 
 
+# Standard monomials of R^b tried at a time by the monomial injectivity test.
+_INJECTIVITY_BLOCK = 64
+
+
 def macaulay_injectivity_check(ctx: JacobianContext, a: int, b: int) -> bool:
     """Whether R^a -> Hom(R^b, R^{a+b}) by multiplication is injective.
 
-    Certificate first: if g -> g u is injective on R^a for a single u in R^b,
-    so is the action.  u is a sum of s standard monomials of R^b with
-    nonzero coefficients, both drawn from a generator seeded by (a, b); s
-    starts at 16 and doubles until the map has full rank or u uses every
-    standard monomial.  Only then is the stacked action ranked, which is the
-    one path that can answer False.
+    A monomial ideal needs no rank: the map is injective iff every standard
+    monomial g of R^a has a standard monomial v of R^b with g v nonzero in
+    R^{a+b}.  Proof: the ideal piece is spanned by monomials, so the class
+    of a monomial is 0 or the unit vector of a standard monomial.  Column g
+    of the stacked action (``action_matrix``) has its nonzeros at the rows
+    (v, g v) with g v standard, and two columns g != g' share no row, since
+    g v = g' v forces g = g'.  Columns with disjoint supports are
+    independent unless zero, over any field, so the stacked rank is the
+    number of nonzero columns, and it is dim R^a iff no column is zero.
+    R^b is walked in blocks of ``_INJECTIVITY_BLOCK`` monomials, keeping
+    only the g still without a partner; R^b = 0 leaves every g without one.
+
+    Any other ideal takes a certificate first: if g -> g u is injective on
+    R^a for a single u in R^b, so is the action.  u is a sum of s standard
+    monomials of R^b with nonzero coefficients, both drawn from a generator
+    seeded by (a, b); s starts at 16 and doubles until the map has full rank
+    or u uses every standard monomial.  Only then is the stacked action
+    ranked, which is the one path that can answer False.
     """
     dim_a = ctx.piece(a).dim
     if dim_a == 0:
         return True
+    if ctx.has_monomial_ideal:
+        return _monomial_injectivity(ctx, a, b)
     src_b = ctx.piece(b)
     if 0 < src_b.dim and dim_a <= ctx.piece(a + b).dim:
         rng = np.random.default_rng((a, b, 0x1AC))
@@ -279,6 +303,20 @@ def macaulay_injectivity_check(ctx: JacobianContext, a: int, b: int) -> bool:
                 break
             s = min(2 * s, src_b.dim)
     return action_matrix(ctx, a, b).rank() == dim_a
+
+
+def _monomial_injectivity(ctx: JacobianContext, a: int, b: int) -> bool:
+    """``macaulay_injectivity_check`` for a monomial ideal, by supports."""
+    src_b = ctx.piece(b)
+    tgt = ctx.piece(a + b)
+    unpartnered = ctx.piece(a).standard_exponents
+    for start in range(0, src_b.dim, _INJECTIVITY_BLOCK):
+        block = src_b.standard_exponents[start : start + _INJECTIVITY_BLOCK]
+        partnered = tgt.quotient.nonzero(tgt.ambient.sum_index(unpartnered, block)).any(axis=1)
+        unpartnered = unpartnered[~partnered]
+        if unpartnered.shape[0] == 0:
+            return True
+    return False
 
 
 def koszul_matrix(ctx: JacobianContext, m: int) -> Matrix:
@@ -323,7 +361,7 @@ def socle_check(ctx: JacobianContext) -> bool:
     built and cached instead.
     """
     if ctx.has_monomial_ideal:
-        powers = {i for g in ctx.generators for e, _ in g.terms() for i, k in enumerate(e) if k == sum(e)}
+        powers = {i for ts in ctx.generator_terms for e, _ in ts for i, k in enumerate(e) if k == sum(e)}
         return len(powers) == ctx.num_vars
     sigma = ctx.socle_degree
     if sigma < ctx.d - 1:

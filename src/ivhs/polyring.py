@@ -150,9 +150,20 @@ class HomogeneousPoly:
 
     # -- constructors --------------------------------------------------------
 
+    @classmethod
+    def _canonical(cls, field: FieldSpec, num_vars: int, degree: int, coeffs: Sequence[Scalar]) -> "HomogeneousPoly":
+        """From all dim coefficients, each already canonical in ``field``
+        (as ``field.coerce`` and the field operations return them)."""
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.num_vars = num_vars
+        poly.degree = degree
+        poly.coeffs = tuple(coeffs)
+        return poly
+
     @staticmethod
     def zero(field: FieldSpec, num_vars: int, degree: int) -> "HomogeneousPoly":
-        return HomogeneousPoly(field, num_vars, degree, [field.zero()] * basis(num_vars, degree).dim)
+        return HomogeneousPoly._canonical(field, num_vars, degree, [field.zero()] * basis(num_vars, degree).dim)
 
     @staticmethod
     def from_terms(field: FieldSpec, num_vars: int, terms: dict[Exponents, Scalar], degree: int | None = None) -> "HomogeneousPoly":
@@ -171,7 +182,7 @@ class HomogeneousPoly:
             if len(e) != num_vars:
                 raise PreconditionError(f"exponent tuple {e} has wrong arity")
             coeffs[b.index(e)] = field.add(coeffs[b.index(e)], field.coerce(c))
-        return HomogeneousPoly(field, num_vars, degree, coeffs)
+        return HomogeneousPoly._canonical(field, num_vars, degree, coeffs)
 
     @staticmethod
     def monomial(field: FieldSpec, exponents: Sequence[int], coeff: Scalar = 1, num_vars: int | None = None) -> "HomogeneousPoly":
@@ -183,12 +194,14 @@ class HomogeneousPoly:
 
     def terms(self) -> Iterator[tuple[Exponents, Scalar]]:
         b = basis(self.num_vars, self.degree)
+        # Canonical coefficients are zero exactly when falsy: ints in [0, p)
+        # and Fractions alike.
         for e, c in zip(b.monomials, self.coeffs):
-            if not self.field.is_zero(c):
+            if c:
                 yield e, c
 
     def is_zero(self) -> bool:
-        return all(self.field.is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HomogeneousPoly):
@@ -216,7 +229,7 @@ class HomogeneousPoly:
         if self.degree != other.degree:
             raise PreconditionError("cannot add pieces of different degrees")
         f = self.field
-        return HomogeneousPoly(
+        return HomogeneousPoly._canonical(
             f, self.num_vars, self.degree, [f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)]
         )
 
@@ -225,14 +238,14 @@ class HomogeneousPoly:
         if self.degree != other.degree:
             raise PreconditionError("cannot subtract pieces of different degrees")
         f = self.field
-        return HomogeneousPoly(
+        return HomogeneousPoly._canonical(
             f, self.num_vars, self.degree, [f.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)]
         )
 
     def scale(self, c: Scalar) -> "HomogeneousPoly":
         f = self.field
         c = f.coerce(c)
-        return HomogeneousPoly(f, self.num_vars, self.degree, [f.mul(c, a) for a in self.coeffs])
+        return HomogeneousPoly._canonical(f, self.num_vars, self.degree, [f.mul(c, a) for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, HomogeneousPoly):

@@ -554,7 +554,8 @@ INJECTIVITY_FIXTURES = {
 @pytest.mark.parametrize("name", list(INJECTIVITY_FIXTURES))
 def test_injectivity_certificate_agrees_with_stacked_rank(name):
     # Every (a, b) up to one past the socle degree: the one-multiplier
-    # certificate, or its fallback, must give the stacked action's answer.
+    # certificate, or its fallback, must give the stacked action's answer
+    # (the Fermat fixtures, monomial, take the support count instead).
     # On a smooth fixture a non-injective action has R^{a+b} = 0 and skips
     # the certificate; on a singular one the certificate is tried and fails
     # first, and only the fallback can answer False.
@@ -569,6 +570,47 @@ def test_injectivity_certificate_agrees_with_stacked_rank(name):
             tried_and_failed += not stacked and 0 < ctx.piece(b).dim and dim_a <= ctx.piece(a + b).dim
     assert non_injective > 0
     assert (tried_and_failed > 0) == name.startswith("singular")
+
+
+MONOMIAL_INJECTIVITY_FIXTURES = {
+    "fermat(3,3)": lambda: JacobianContext.fermat(3, 3),
+    "fermat(3,5)": lambda: JacobianContext.fermat(3, 5),
+    "fermat(2,4)-QQ": lambda: JacobianContext.fermat(2, 4, field=QQ),
+    # Singular at (1:0:0:0) and (0:1:0:0): R is not Artinian.
+    "singular-monomial-quartic": lambda: JacobianContext(parse_poly("x0^2*x1^2+x2^4+x3^4", FP, num_vars=4)),
+    # Every partial 5 x_i^4 vanishes over F_5: J = 0 and R is all of S.
+    "fermat(2,5)-F5": lambda: JacobianContext.fermat(2, 5, field=FieldSpec.prime(5)),
+}
+
+
+def test_monomial_injectivity_agrees_with_stacked_rank(monkeypatch):
+    # A monomial ideal is decided by supports alone: no rank, and the same
+    # answer as the stacked action's rank for every (a, b) up to sigma + 1,
+    # however many standard monomials of R^b are tried at a time.
+    ranks = 0
+    real_rank = Matrix.rank
+
+    def counted_rank(self):
+        nonlocal ranks
+        ranks += 1
+        return real_rank(self)
+
+    answers = set()
+    for name, make in MONOMIAL_INJECTIVITY_FIXTURES.items():
+        ctx = make()
+        assert ctx.has_monomial_ideal, name
+        for a in range(ctx.socle_degree + 2):
+            for b in range(ctx.socle_degree + 2 - a):
+                dim_a = ctx.piece(a).dim
+                stacked = dim_a == 0 or action_matrix(ctx, a, b).rank() == dim_a
+                with monkeypatch.context() as m:
+                    m.setattr(Matrix, "rank", counted_rank)
+                    assert macaulay_injectivity_check(ctx, a, b) == stacked, (name, a, b)
+                    m.setattr(jacobian, "_INJECTIVITY_BLOCK", 1)
+                    assert macaulay_injectivity_check(ctx, a, b) == stacked, (name, a, b)
+                answers.add(stacked)
+    assert answers == {True, False}
+    assert ranks == 0
 
 
 def test_socle_check_fermat_sextic(sextic):

@@ -348,18 +348,32 @@ class TestVerifyTheorem:
         assert "graded dimensions disagree with the closed forms" in rep.notes
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("n, d", [(3, 7), (3, 8), (4, 7)])
+    @pytest.mark.parametrize("n, d", [(3, 7), (3, 8), (4, 7), (5, 8)])
     def test_fermat_beyond_the_sextic_witnessed(self, n, d):
-        # The stacked action of R^d on R^{2d-5} is 1030225 x 470 at (3, 8),
-        # over the default budget; the one-multiplier certificate is not.
-        # At (4, 7) the canonical check gathers from R^15, of dimension 4332
-        # in an ambient space of 15504 monomials.
+        # A Fermat ideal is monomial, so p_0 and p_1 are decided by support
+        # counts and no multiplication matrix is built: at (3, 8) the stacked
+        # action of R^d on R^{2d-5} would be 1030225 x 470, over the default
+        # budget, and at (5, 8) one multiplier's map R^8 -> R^17 alone would
+        # be 46655 x 2954.  At (4, 7) the canonical check gathers from R^15,
+        # of dimension 4332 in an ambient space of 15504 monomials.
         rep = verify_theorem(JacobianContext.fermat(n, d), socle_mode="full")
         assert rep.socle_mode == "full"
         assert rep.dims_match
         assert rep.p0_injective and rep.p1_injective
         assert rep.canonical_symmetrizer_nonzero
         assert rep.verdict == "NonGenericityWitnessed"
+
+    @pytest.mark.parametrize("n, d", [(3, 5), (3, 6)])
+    def test_fermat_flags_over_q_match_f_p(self, n, d):
+        # Every boolean field (and the verdict) is the same over Q and over
+        # F_10007, on a fixture outside the theorem's range and on one inside.
+        reps = [verify_theorem(JacobianContext.fermat(n, d, field=fld), seed=0) for fld in (QQ, F)]
+        flags = [
+            {k: v for k, v in rep.as_dict().items() if isinstance(v, bool) or k in ("inequality_holds", "verdict")}
+            for rep in reps
+        ]
+        assert len(flags[1]) == 7
+        assert flags[0] == flags[1]
 
     @pytest.mark.slow
     def test_random_smooth_sextic_witnessed(self):
