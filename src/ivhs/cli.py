@@ -389,6 +389,13 @@ def cmd_verify_theorem(ns) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type of the seed and the pair sample."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _add_output_flags(sub) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
@@ -446,16 +453,16 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("FERMAT", "N", "D"),
         help="canonical multiplication candidate, e.g. --geometric fermat 3 6",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    p.add_argument("--pair-sample", type=int, default=60)
+    p.add_argument("--pair-sample", type=_nonnegative_int, default=60)
     _add_output_flags(p)
     p.set_defaults(func=cmd_symm)
 
     p = subs.add_parser("verify-theorem", help="full non-genericity pipeline")
     _add_fixture_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pair-sample", type=int, default=60)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--pair-sample", type=_nonnegative_int, default=60)
     p.add_argument("--socle-mode", choices=("auto", "full", "cheap"), default="auto")
     _add_output_flags(p)
     p.set_defaults(func=cmd_verify_theorem)

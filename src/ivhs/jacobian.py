@@ -47,7 +47,6 @@ from .errors import PreconditionError, check_dense_budget
 from .fields import FieldSpec, Scalar, default_prime_field
 from .linalg import Matrix, QuotientMap, _zeros
 from .polyring import (
-    Exponents,
     HomogeneousPoly,
     MonomialBasis,
     basis,
@@ -69,11 +68,7 @@ class JacobianContext:
         self.generators: tuple[HomogeneousPoly, ...] = tuple(
             partial_derivative(f, i) for i in range(f.num_vars)
         )
-        # The nonzero terms of each generator, listed once for every reader.
-        self.generator_terms: tuple[tuple[tuple[Exponents, Scalar], ...], ...] = tuple(
-            tuple(g.terms()) for g in self.generators
-        )
-        self.has_monomial_ideal = all(len(ts) <= 1 for ts in self.generator_terms)
+        self.has_monomial_ideal = all(len(g.terms()) <= 1 for g in self.generators)
         self._pieces: dict[int, GradedQuotientPiece] = {}
 
     @staticmethod
@@ -127,7 +122,7 @@ class JacobianContext:
 
     def _build_piece_monomial(self, m: int, amb: MonomialBasis, src_deg: int) -> "GradedQuotientPiece":
         src = basis(self.num_vars, src_deg)
-        terms = [t for ts in self.generator_terms for t, _ in ts]
+        terms = [t for g in self.generators for t, _ in g.terms()]
         # Distinct monomials span the ideal piece: their columns are the
         # pivots, and the reduced rows are unit vectors.
         pivots = sorted(set(amb.sum_index(src.exponents, terms).ravel().tolist()))
@@ -141,7 +136,7 @@ class JacobianContext:
         """The ideal piece in the degree of ``amb``, at least d - 1: one row
         per generator times monomial, one column per ambient monomial."""
         src = basis(self.num_vars, amb.degree - (self.d - 1))
-        terms = self.generator_terms
+        terms = [g.terms() for g in self.generators]
         # Term k (of all generators' terms in turn) of generator i times
         # monomial s is row (i, s), column cols[s, k]: no position twice.
         cols = amb.sum_index(src.exponents, [t for ts in terms for t, _ in ts])
@@ -157,9 +152,8 @@ def _piece_from_pivots(
     """The quotient piece of an ideal piece with the given pivot columns and
     reduced rows ``rref`` (None: unit rows)."""
     free = np.delete(np.arange(amb.dim), list(pivots))
-    std = tuple(amb.monomials[j] for j in free.tolist())
     quotient = QuotientMap.of_rref(fld, amb.dim, pivots, rref)
-    return GradedQuotientPiece(fld, m, amb, len(pivots), std, quotient, amb.exponents[free])
+    return GradedQuotientPiece(fld, m, amb, len(pivots), amb.exponents[free], quotient)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,15 +164,14 @@ class GradedQuotientPiece:
     degree: int
     ambient: MonomialBasis
     ideal_rank: int
-    standard_monomials: tuple[Exponents, ...]
+    # The standard monomials, one exponent row each in ambient order.
+    standard_exponents: np.ndarray = dc_field(repr=False)
     # Ambient monomials onto standard-monomial coordinates.
     quotient: QuotientMap = dc_field(repr=False)
-    # The standard monomials as one array, for ``MonomialBasis.sum_index``.
-    standard_exponents: np.ndarray = dc_field(repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.standard_monomials)
+        return self.standard_exponents.shape[0]
 
     def classes(self, cols) -> Matrix:
         """dim x len(cols): column c is the class of ambient monomial cols[c]."""
@@ -192,13 +185,6 @@ class GradedQuotientPiece:
         vals = _zeros(self.field, (k,))
         vals[:] = [self.field.coerce(c) for c in coeffs]
         return self.quotient.scatter(width, cols.ravel(), np.repeat(np.arange(width), k), np.tile(vals, width))
-
-    def project_poly(self, g: HomogeneousPoly) -> list[Scalar]:
-        """Coordinates of [g] in the standard-monomial basis."""
-        if g.degree != self.degree or g.num_vars != self.ambient.num_vars:
-            raise PreconditionError("polynomial does not live in this piece")
-        support = [j for j, c in enumerate(g.coeffs) if c != 0]
-        return self.class_sums([support], [g.coeffs[j] for j in support]).flatten()
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +205,6 @@ class MultiplicationMap:
     def target_degree(self) -> int:
         return self.source_degree + self.multiplier.degree
 
-    def compose(self, other: "MultiplicationMap") -> Matrix:
-        """Matrix of self after other (degrees must chain)."""
-        if other.target_degree != self.source_degree:
-            raise PreconditionError("composition degrees do not chain")
-        return self.matrix @ other.matrix
-
 
 def multiplication_map(ctx: JacobianContext, g: HomogeneousPoly, a: int) -> MultiplicationMap:
     """The map [u] -> [g u] from R^a to R^{a + deg g}."""
@@ -232,7 +212,7 @@ def multiplication_map(ctx: JacobianContext, g: HomogeneousPoly, a: int) -> Mult
         raise PreconditionError("multiplier lives in a different ring")
     src = ctx.piece(a)
     tgt = ctx.piece(a + g.degree)
-    terms = list(g.terms())
+    terms = g.terms()
     if not terms:
         return MultiplicationMap(ctx, g, a, Matrix.zeros(ctx.field, tgt.dim, src.dim))
     # Column u of the map is sum_t c_t * (class of u * x^t): one scatter of
@@ -295,7 +275,7 @@ def macaulay_injectivity_check(ctx: JacobianContext, a: int, b: int) -> bool:
         coeffs = rng.integers(1, high, size=src_b.dim).tolist()
         s = min(16, src_b.dim)
         while True:
-            terms = {src_b.standard_monomials[i]: coeffs[i] for i in order[:s]}
+            terms = {tuple(src_b.standard_exponents[i].tolist()): coeffs[i] for i in order[:s]}
             u = HomogeneousPoly.from_terms(ctx.field, ctx.num_vars, terms, degree=b)
             if multiplication_map(ctx, u, a).matrix.rank() == dim_a:
                 return True
@@ -361,7 +341,7 @@ def socle_check(ctx: JacobianContext) -> bool:
     built and cached instead.
     """
     if ctx.has_monomial_ideal:
-        powers = {i for ts in ctx.generator_terms for e, _ in ts for i, k in enumerate(e) if k == sum(e)}
+        powers = {i for g in ctx.generators for e, _ in g.terms() for i, k in enumerate(e) if k == sum(e)}
         return len(powers) == ctx.num_vars
     sigma = ctx.socle_degree
     if sigma < ctx.d - 1:

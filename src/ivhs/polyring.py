@@ -1,19 +1,22 @@
 """Graded pieces of polynomial rings in N variables over an exact field.
 
 Monomials of a fixed degree are ordered graded-lexicographically
-(x0 > x1 > ... > x_{N-1}, descending lex within the degree), and a
-homogeneous polynomial is a dense coordinate vector over that basis.
-The zero polynomial carries a degree so graded maps stay well typed.
+(x0 > x1 > ... > x_{N-1}, descending lex within the degree).  A basis of
+a graded piece is its exponent array, one row per monomial in that order,
+and a homogeneous polynomial is its nonzero terms in the same order; only
+the dense constructor ``HomogeneousPoly(field, N, m, coeffs)`` enumerates a
+basis.  The zero polynomial carries a degree so graded maps stay well
+typed.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,22 +24,40 @@ from .errors import PreconditionError
 from .fields import FieldSpec, Scalar
 
 Exponents = tuple[int, ...]
+Term = tuple[Exponents, Scalar]
 
 
-def _monomials_desc_lex(num_vars: int, degree: int) -> list[Exponents]:
-    if num_vars == 1:
-        return [(degree,)]
-    out: list[Exponents] = []
-    for e0 in range(degree, -1, -1):
-        for rest in _monomials_desc_lex(num_vars - 1, degree - e0):
-            out.append((e0,) + rest)
-    return out
+def _exponents_desc_lex(num_vars: int, degree: int) -> np.ndarray:
+    """All exponent rows of total ``degree``, in descending lex order.
+
+    Built from the last variable forwards.  In k + 1 variables the monomials
+    of degree j are a_0 = j, j - 1, ..., 0 followed by the k-variable
+    monomials of degree j - a_0, so their tails are the k-variable blocks of
+    degrees 0, 1, ..., j in turn: a prefix of all the blocks stacked.
+    """
+    dtype = np.min_scalar_type(degree)
+    blocks = [np.full((1, 1), j, dtype=dtype) for j in range(degree + 1)]
+    for k in range(2, num_vars + 1):
+        tails = np.concatenate(blocks)
+        sizes = [len(b) for b in blocks]
+        ends = np.cumsum(sizes)
+        # Only the full degree is needed in all num_vars variables.
+        blocks = [
+            np.hstack([np.repeat(np.arange(j, -1, -1, dtype=dtype), sizes[: j + 1])[:, None], tails[: ends[j]]])
+            for j in (range(degree + 1) if k < num_vars else (degree,))
+        ]
+    return blocks[-1]
 
 
 class MonomialBasis:
-    """All exponent tuples of a fixed total degree, in descending lex order."""
+    """All monomials of a fixed total degree as one read-only exponent array,
+    one row each, in descending lex order.
 
-    __slots__ = ("num_vars", "degree", "monomials", "_index", "_exponents", "_keys")
+    Its dtype is the smallest unsigned one that holds ``degree``: bases stay
+    cached, and ``sum_index`` widens to int64 only for its product.
+    """
+
+    __slots__ = ("num_vars", "degree", "exponents", "_keys")
 
     def __init__(self, num_vars: int, degree: int):
         if num_vars < 1:
@@ -45,34 +66,22 @@ class MonomialBasis:
             raise PreconditionError("degree must be nonnegative")
         self.num_vars = num_vars
         self.degree = degree
-        self.monomials: tuple[Exponents, ...] = tuple(_monomials_desc_lex(num_vars, degree))
-        self._index = {m: i for i, m in enumerate(self.monomials)}
-        self._exponents: np.ndarray | None = None
+        e = _exponents_desc_lex(num_vars, degree)
+        e.flags.writeable = False
+        self.exponents: np.ndarray = e
+        # Ascending keys, built by the first lookup.
         self._keys: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.monomials)
+        return self.exponents.shape[0]
 
     @property
     def dim(self) -> int:
-        return len(self.monomials)
+        return self.exponents.shape[0]
 
     def index(self, exponents: Sequence[int]) -> int:
-        return self._index[tuple(exponents)]
-
-    @property
-    def exponents(self) -> np.ndarray:
-        """The monomials as a read-only array, one row each, built once.
-
-        Its dtype is the smallest unsigned one that holds ``degree``: bases
-        stay cached, and ``sum_index`` widens to int64 only for its product.
-        """
-        if self._exponents is None:
-            dtype = np.min_scalar_type(self.degree)
-            e = np.array(self.monomials, dtype=dtype).reshape(self.dim, self.num_vars)
-            e.flags.writeable = False
-            self._exponents = e
-        return self._exponents
+        """Position of one monomial; KeyError for anything not in the basis."""
+        return int(self.sum_index([exponents], [(0,) * self.num_vars])[0, 0])
 
     def _key_weights(self) -> np.ndarray:
         """Place values of the mixed-radix key: exponents are digits in base
@@ -101,7 +110,7 @@ class MonomialBasis:
         """Index of u + v in this basis for u in ``left`` and v in ``right``,
         as an int64 array of shape (len(left), len(right)).  Either side may
         be exponent tuples or an integer array of them, one row each, such
-        as ``MonomialBasis.exponents``, which is built only once.
+        as ``MonomialBasis.exponents``.
 
         The key is linear in the exponents, so key(u + v) = key(u) + key(v);
         a sum of nonnegative exponent tuples of total degree ``degree`` is a
@@ -117,10 +126,9 @@ class MonomialBasis:
         if ldeg + rdeg != self.degree:
             raise KeyError(f"degrees {ldeg} + {rdeg} do not add up to {self.degree}")
         if self._keys is None:
-            # Ascending keys: the basis read backwards.
+            # The basis read backwards.
             self._keys = self.exponents[::-1] @ weights
-        pos = np.searchsorted(self._keys, lk[:, None] + rk[None, :])
-        return self.dim - 1 - pos
+        return self.dim - 1 - np.searchsorted(self._keys, lk[:, None] + rk[None, :])
 
 
 @lru_cache(maxsize=None)
@@ -135,39 +143,53 @@ def graded_dimension(num_vars: int, degree: int) -> int:
 
 
 class HomogeneousPoly:
-    """A homogeneous polynomial as a dense vector over its monomial basis."""
+    """A homogeneous polynomial as its nonzero terms: (exponent tuple,
+    canonical coefficient) pairs in descending lex order of the exponents,
+    so equal polynomials hold equal terms."""
 
-    __slots__ = ("field", "num_vars", "degree", "coeffs")
+    __slots__ = ("field", "num_vars", "degree", "_terms")
 
     def __init__(self, field: FieldSpec, num_vars: int, degree: int, coeffs: Sequence[Scalar]):
+        """From a dense vector: coeffs[i] multiplies monomial i of
+        ``basis(num_vars, degree)``."""
         b = basis(num_vars, degree)
         if len(coeffs) != b.dim:
             raise PreconditionError(f"expected {b.dim} coefficients, got {len(coeffs)}")
         self.field = field
         self.num_vars = num_vars
         self.degree = degree
-        self.coeffs = tuple(field.coerce(c) for c in coeffs)
+        coerced = [field.coerce(c) for c in coeffs]
+        self._terms: tuple[Term, ...] = tuple((tuple(e), c) for e, c in zip(b.exponents.tolist(), coerced) if c)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def _canonical(cls, field: FieldSpec, num_vars: int, degree: int, coeffs: Sequence[Scalar]) -> "HomogeneousPoly":
-        """From all dim coefficients, each already canonical in ``field``
-        (as ``field.coerce`` and the field operations return them)."""
+    def _canonical(cls, field: FieldSpec, num_vars: int, degree: int, terms: Iterable[Term]) -> "HomogeneousPoly":
+        """From terms with distinct exponent tuples of ints and coefficients
+        already canonical in ``field`` (as ``field.coerce`` and the field
+        operations return them), in any order; zero terms are dropped."""
         poly = object.__new__(cls)
         poly.field = field
         poly.num_vars = num_vars
         poly.degree = degree
-        poly.coeffs = tuple(coeffs)
+        # Canonical coefficients are zero exactly when falsy: ints in [0, p)
+        # and Fractions alike.
+        poly._terms = tuple(sorted((t for t in terms if t[1]), key=operator.itemgetter(0), reverse=True))
         return poly
 
     @staticmethod
     def zero(field: FieldSpec, num_vars: int, degree: int) -> "HomogeneousPoly":
-        return HomogeneousPoly._canonical(field, num_vars, degree, [field.zero()] * basis(num_vars, degree).dim)
+        return HomogeneousPoly.from_terms(field, num_vars, {}, degree=degree)
 
     @staticmethod
     def from_terms(field: FieldSpec, num_vars: int, terms: dict[Exponents, Scalar], degree: int | None = None) -> "HomogeneousPoly":
-        degrees = {sum(e) for e in terms}
+        if num_vars < 1:
+            raise PreconditionError("need at least one variable")
+        exps = [tuple(map(operator.index, e)) for e in terms]
+        for e in exps:
+            if len(e) != num_vars or min(e) < 0:
+                raise PreconditionError(f"exponent tuple {e} is not {num_vars} nonnegative integers")
+        degrees = {sum(e) for e in exps}
         if len(degrees) > 1:
             raise PreconditionError(f"terms of mixed degrees {sorted(degrees)} are not homogeneous")
         if degree is None:
@@ -176,13 +198,9 @@ class HomogeneousPoly:
             degree = degrees.pop()
         elif degrees and degrees.pop() != degree:
             raise PreconditionError("terms do not match the stated degree")
-        b = basis(num_vars, degree)
-        coeffs = [field.zero()] * b.dim
-        for e, c in terms.items():
-            if len(e) != num_vars:
-                raise PreconditionError(f"exponent tuple {e} has wrong arity")
-            coeffs[b.index(e)] = field.add(coeffs[b.index(e)], field.coerce(c))
-        return HomogeneousPoly._canonical(field, num_vars, degree, coeffs)
+        if degree < 0:
+            raise PreconditionError("degree must be nonnegative")
+        return HomogeneousPoly._canonical(field, num_vars, degree, zip(exps, map(field.coerce, terms.values())))
 
     @staticmethod
     def monomial(field: FieldSpec, exponents: Sequence[int], coeff: Scalar = 1, num_vars: int | None = None) -> "HomogeneousPoly":
@@ -192,16 +210,12 @@ class HomogeneousPoly:
 
     # -- structure -------------------------------------------------------------
 
-    def terms(self) -> Iterator[tuple[Exponents, Scalar]]:
-        b = basis(self.num_vars, self.degree)
-        # Canonical coefficients are zero exactly when falsy: ints in [0, p)
-        # and Fractions alike.
-        for e, c in zip(b.monomials, self.coeffs):
-            if c:
-                yield e, c
+    def terms(self) -> tuple[Term, ...]:
+        """The nonzero terms (exponents, coefficient), in descending lex order."""
+        return self._terms
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self._terms
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HomogeneousPoly):
@@ -210,7 +224,7 @@ class HomogeneousPoly:
             self.field == other.field
             and self.num_vars == other.num_vars
             and self.degree == other.degree
-            and self.coeffs == other.coeffs
+            and self._terms == other._terms
         )
 
     __hash__ = None
@@ -224,28 +238,27 @@ class HomogeneousPoly:
         if self.field != other.field or self.num_vars != other.num_vars:
             raise PreconditionError("polynomials live in different rings")
 
-    def __add__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
+    def _combine(self, other: "HomogeneousPoly", op, what: str) -> "HomogeneousPoly":
+        """Termwise ``op`` (the field's add or sub) of two polynomials."""
         self._check_compatible(other)
         if self.degree != other.degree:
-            raise PreconditionError("cannot add pieces of different degrees")
-        f = self.field
-        return HomogeneousPoly._canonical(
-            f, self.num_vars, self.degree, [f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)]
-        )
+            raise PreconditionError(f"cannot {what} pieces of different degrees")
+        zero = self.field.zero()
+        out = dict(self._terms)
+        for e, c in other._terms:
+            out[e] = op(out.get(e, zero), c)
+        return HomogeneousPoly._canonical(self.field, self.num_vars, self.degree, out.items())
+
+    def __add__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
+        return self._combine(other, self.field.add, "add")
 
     def __sub__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        self._check_compatible(other)
-        if self.degree != other.degree:
-            raise PreconditionError("cannot subtract pieces of different degrees")
-        f = self.field
-        return HomogeneousPoly._canonical(
-            f, self.num_vars, self.degree, [f.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self._combine(other, self.field.sub, "subtract")
 
     def scale(self, c: Scalar) -> "HomogeneousPoly":
         f = self.field
         c = f.coerce(c)
-        return HomogeneousPoly._canonical(f, self.num_vars, self.degree, [f.mul(c, a) for a in self.coeffs])
+        return HomogeneousPoly._canonical(f, self.num_vars, self.degree, ((e, f.mul(c, a)) for e, a in self._terms))
 
     def __mul__(self, other):
         if isinstance(other, HomogeneousPoly):
@@ -261,7 +274,7 @@ class HomogeneousPoly:
         f = self.field
         pt = [f.coerce(x) for x in point]
         total = f.zero()
-        for e, c in self.terms():
+        for e, c in self._terms:
             v = c
             for x, k in zip(pt, e):
                 for _ in range(k):
@@ -273,7 +286,7 @@ class HomogeneousPoly:
 
     def to_text(self) -> str:
         parts: list[str] = []
-        for e, c in self.terms():
+        for e, c in self._terms:
             factors = []
             for i, k in enumerate(e):
                 if k == 1:
@@ -384,7 +397,7 @@ def multiply(f: HomogeneousPoly, g: HomogeneousPoly) -> HomogeneousPoly:
                 out[e] = fld.add(out[e], prod)
             else:
                 out[e] = prod
-    return HomogeneousPoly.from_terms(fld, f.num_vars, out, degree=f.degree + g.degree)
+    return HomogeneousPoly._canonical(fld, f.num_vars, f.degree + g.degree, out.items())
 
 
 def partial_derivative(f: HomogeneousPoly, i: int) -> HomogeneousPoly:
@@ -394,21 +407,9 @@ def partial_derivative(f: HomogeneousPoly, i: int) -> HomogeneousPoly:
     fld = f.field
     if f.degree == 0:
         return HomogeneousPoly.zero(fld, f.num_vars, 0)
-    out: dict[Exponents, Scalar] = {}
-    for e, c in f.terms():
-        if e[i] == 0:
-            continue
-        new_e = e[:i] + (e[i] - 1,) + e[i + 1 :]
-        out[new_e] = fld.mul(c, fld.coerce(e[i]))
-    return HomogeneousPoly.from_terms(fld, f.num_vars, out, degree=f.degree - 1)
-
-
-def euler_sum(f: HomogeneousPoly) -> HomogeneousPoly:
-    """sum_i x_i * df/dx_i, which must equal deg(f) * f."""
-    if f.degree == 0:
-        return HomogeneousPoly.zero(f.field, f.num_vars, 0)
-    total = HomogeneousPoly.zero(f.field, f.num_vars, f.degree)
-    for i in range(f.num_vars):
-        xi = HomogeneousPoly.monomial(f.field, tuple(1 if j == i else 0 for j in range(f.num_vars)))
-        total = total + multiply(xi, partial_derivative(f, i))
-    return total
+    out = (
+        (e[:i] + (e[i] - 1,) + e[i + 1 :], fld.mul(c, fld.coerce(e[i])))
+        for e, c in f.terms()
+        if e[i]
+    )
+    return HomogeneousPoly._canonical(fld, f.num_vars, f.degree - 1, out)

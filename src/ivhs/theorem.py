@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError, SingularInputError
-from .hodge import HodgeShape, HorizontalElement, IntegralElementCandidate, check_integral
+from .hodge import HodgeShape, IntegralElementCandidate, check_integral, complete_horizontal
 from .jacobian import (
     JacobianContext,
     macaulay_injectivity_check,
@@ -244,9 +244,16 @@ def ring_frame_candidate(
 
     Bases of the upper half of the window are replaced by their socle-pairing
     duals, which turns the transpose relations of a horizontal isometry into
-    exact matrix identities.  Requires an odd weight (an even weight would
-    need a Gram square root on the self-paired middle summand) and a window
-    centered on the socle: 2 a0 + weight * spacing = socle degree.
+    exact matrix identities.  Only the free slots 0..r, r = (weight-1)/2,
+    are computed: below r they are plain multiplication maps, since their
+    source and target keep standard bases, and slot r, the map into the
+    dual basis, is the socle form (i, j) -> socle coefficient of g u_i u_j
+    on the middle degree: the pairing of R^(deg r) with R^(deg r+1) times
+    the multiplication map.  ``complete_horizontal`` supplies the
+    transposes above, so no pairing is inverted; each upper pairing must
+    have full rank.  Requires an odd weight (an even weight would need a Gram
+    square root on the self-paired middle summand) and a window centered on
+    the socle: 2 a0 + weight * spacing = socle degree.
     """
     if weight < 1 or weight % 2 == 0:
         raise PreconditionError("frame adaptation needs an odd weight")
@@ -265,30 +272,20 @@ def ring_frame_candidate(
     degrees = [a0 + q * spacing for q in range(weight + 1)]
     dims = tuple(ctx.piece(m).dim for m in degrees)
     shape = HodgeShape(weight, dims)
-    half = (weight + 1) // 2
-    change: dict[int, Matrix] = {}
-    change_inv: dict[int, Matrix] = {}
-    for q in range(half, weight + 1):
-        pairing = _pairing_matrix(ctx, degrees[weight - q], degrees[q])
-        try:
-            change_inv[q] = pairing.inverse()
-        except PreconditionError:
+    r = (weight - 1) // 2
+    pairings = []
+    for q in range(r + 1, weight + 1):
+        pairings.append(_pairing_matrix(ctx, degrees[weight - q], degrees[q]))
+        if not pairings[-1].rows == pairings[-1].cols == pairings[-1].rank():
             raise SingularInputError(
                 f"socle pairing degenerates between degrees {degrees[weight - q]} "
                 f"and {degrees[q]}"
             )
-        change[q] = pairing
     elements = []
     for g in multipliers:
-        slots = []
-        for q in range(weight):
-            m = multiplication_map(ctx, g, degrees[q]).matrix
-            if q + 1 in change:
-                m = change[q + 1] @ m
-            if q in change_inv:
-                m = m @ change_inv[q]
-            slots.append(m)
-        elements.append(HorizontalElement(shape, ctx.field, slots))
+        free = [multiplication_map(ctx, g, degrees[q]).matrix for q in range(r + 1)]
+        free[r] = pairings[0] @ free[r]  # R^(deg r) paired with R^(deg r+1)
+        elements.append(complete_horizontal(shape, ctx.field, free))
     candidate = IntegralElementCandidate(shape, ctx.field, tuple(elements))
     report = check_integral(candidate)
     if not report.ok:

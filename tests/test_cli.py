@@ -55,6 +55,22 @@ class TestExitCodes:
         )
         assert code == 2 and "--prime" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-theorem", "--fermat", "3", "6", "--pair-sample", "-1"],
+            ["verify-theorem", "--fermat", "3", "6", "--seed", "-1"],
+            ["symm", "--geometric", "fermat", "3", "5", "--seed", "-2"],
+            ["symm", "--dims", "2", "3", "2", "--k", "6", "--seed", "-1"],
+            ["symm", "--dims", "2", "3", "2", "--construction", "prop4", "--seed", "-1"],
+        ],
+    )
+    def test_usage_negative_seed_or_pair_sample(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in err and "nonnegative" in err
+
     def test_usage_num_vars_with_fermat(self, capsys):
         code, _, _ = run(
             capsys,

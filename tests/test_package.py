@@ -1,4 +1,4 @@
-"""The package as a whole: what ``import ivhs`` costs."""
+"""The package as a whole: what ``import ivhs`` costs and exports."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import ivhs
 
@@ -20,3 +21,16 @@ def test_import_loads_no_heavy_dependency():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_exports_resolve_and_are_listed():
+    # A deletion cannot leave a dangling name in __all__, and every public
+    # attribute of the package is exported on purpose.
+    assert [name for name in ivhs.__all__ if not hasattr(ivhs, name)] == []
+    assert len(set(ivhs.__all__)) == len(ivhs.__all__)
+    public = {
+        name
+        for name, value in vars(ivhs).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert public == set(ivhs.__all__)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -14,8 +16,8 @@ from ivhs.errors import PreconditionError
 from ivhs.fields import QQ, default_prime_field
 from ivhs.polyring import (
     HomogeneousPoly,
+    MonomialBasis,
     basis,
-    euler_sum,
     graded_dimension,
     multiply,
     parse_poly,
@@ -28,11 +30,32 @@ FP = default_prime_field()
 P = FP.modulus
 
 
+def _monomials(num_vars, degree):
+    """Reference: every exponent tuple of the degree, in descending lex order."""
+    box = itertools.product(range(degree + 1), repeat=num_vars)
+    return sorted((e for e in box if sum(e) == degree), reverse=True)
+
+
+def _rows(b):
+    return [tuple(e) for e in b.exponents.tolist()]
+
+
+def _euler_sum(f):
+    """sum_i x_i * df/dx_i, which must equal deg(f) * f."""
+    total = HomogeneousPoly.zero(f.field, f.num_vars, f.degree)
+    if f.degree == 0:
+        return total
+    for i in range(f.num_vars):
+        xi = HomogeneousPoly.monomial(f.field, tuple(1 if j == i else 0 for j in range(f.num_vars)))
+        total = total + multiply(xi, partial_derivative(f, i))
+    return total
+
+
 def test_basis_dimension_five_vars_degree_one():
     b = basis(5, 1)
     assert b.dim == 5
-    assert b.monomials[0] == (1, 0, 0, 0, 0)
-    assert b.monomials[-1] == (0, 0, 0, 0, 1)
+    assert _rows(b)[0] == (1, 0, 0, 0, 0)
+    assert _rows(b)[-1] == (0, 0, 0, 0, 1)
 
 
 def test_basis_dimension_five_vars_degree_seven():
@@ -47,7 +70,8 @@ def test_basis_single_variable():
     for k in range(4):
         b = basis(1, k)
         assert b.dim == 1
-        assert b.monomials == ((k,),)
+        assert _rows(b) == [(k,)]
+        assert b.index((k,)) == 0
 
 
 def test_basis_dimension_formula_various():
@@ -58,17 +82,54 @@ def test_basis_dimension_formula_various():
 
 def test_basis_order_deterministic_and_strictly_descending():
     b = basis(4, 5)
-    again = basis(4, 5)
-    assert b.monomials == again.monomials
+    again = MonomialBasis(4, 5)
+    assert np.array_equal(b.exponents, again.exponents)
     # descending lexicographic comparison of exponent tuples
-    for a, c in zip(b.monomials, b.monomials[1:]):
+    for a, c in zip(_rows(b), _rows(b)[1:]):
         assert a > c
+
+
+@pytest.mark.parametrize("num_vars, degree", [(1, 0), (1, 5), (2, 0), (2, 7), (3, 6), (4, 5), (5, 4), (6, 3)])
+def test_basis_exponents_are_every_monomial_in_order(num_vars, degree):
+    b = MonomialBasis(num_vars, degree)
+    assert _rows(b) == _monomials(num_vars, degree)
+    assert b.exponents.dtype == np.min_scalar_type(degree)
+    assert not b.exponents.flags.writeable
+
+
+def test_basis_exponent_dtype_widens_with_the_degree():
+    b = MonomialBasis(2, 300)
+    assert b.exponents.dtype == np.uint16
+    assert _rows(b)[:2] == [(300, 0), (299, 1)]
 
 
 def test_basis_index_round_trip():
     b = basis(3, 6)
-    for i, m in enumerate(b.monomials):
+    for i, m in enumerate(_monomials(3, 6)):
         assert b.index(m) == i
+
+
+def test_basis_index_refuses_non_members():
+    b = basis(3, 2)
+    # The mixed-radix key of (1, -2, 3) is 6, the key of (0, 2, 0): a lookup
+    # that skipped the nonnegativity check would return a wrong index.
+    with pytest.raises(KeyError):
+        b.index((1, -2, 3))
+    with pytest.raises(KeyError):
+        b.index((1, 0, 0))  # wrong degree
+    with pytest.raises(KeyError):
+        b.index((1, 1))  # wrong arity
+
+
+def test_basis_holds_only_its_exponent_array():
+    tracemalloc.start()
+    try:
+        b = MonomialBasis(6, 20)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b.dim == comb(25, 5)
+    assert held <= 2**20
 
 
 def _dict_sum_index(amb, left, right):
@@ -83,8 +144,8 @@ def _dict_sum_index(amb, left, right):
 )
 def test_sum_index_matches_dict_lookup(num_vars, left_deg, right_deg):
     amb = basis(num_vars, left_deg + right_deg)
-    left = basis(num_vars, left_deg).monomials
-    right = basis(num_vars, right_deg).monomials
+    left = _monomials(num_vars, left_deg)
+    right = _monomials(num_vars, right_deg)
     got = amb.sum_index(left, right)
     assert got.dtype == np.int64
     assert np.array_equal(got, _dict_sum_index(amb, left, right))
@@ -100,14 +161,14 @@ def test_sum_index_matches_dict_lookup(num_vars, left_deg, right_deg):
 
 def test_sum_index_empty_sides():
     amb = basis(3, 4)
-    assert amb.sum_index([], basis(3, 2).monomials).shape == (0, 6)
-    assert amb.sum_index(basis(3, 2).monomials, ()).shape == (6, 0)
+    assert amb.sum_index([], _monomials(3, 2)).shape == (0, 6)
+    assert amb.sum_index(_monomials(3, 2), ()).shape == (6, 0)
     assert amb.sum_index(basis(3, 2).exponents[:0], basis(3, 2).exponents).shape == (0, 6)
 
 
 def test_sum_index_refuses_wrong_degrees():
     amb = basis(3, 4)
-    two, three = basis(3, 2).monomials, basis(3, 3).monomials
+    two, three = _monomials(3, 2), _monomials(3, 3)
     with pytest.raises(KeyError):
         amb.sum_index(two, three)  # degree 5, whose keys can alias degree-4 ones
     with pytest.raises(KeyError):
@@ -123,7 +184,7 @@ def test_sum_index_refuses_wrong_degrees():
 def test_sum_index_refuses_keys_beyond_int64():
     amb = basis(64, 1)  # (1 + 1)^64 keys do not fit in int64
     with pytest.raises(PreconditionError):
-        amb.sum_index(basis(64, 0).monomials, amb.monomials)
+        amb.sum_index(basis(64, 0).exponents, amb.exponents)
 
 
 def test_multiply_monomials():
@@ -192,7 +253,7 @@ def test_euler_identity_random_sextic():
     rng = np.random.default_rng(2024)
     b = basis(5, 6)
     f = HomogeneousPoly(FP, 5, 6, [int(x) for x in rng.integers(0, P, size=b.dim)])
-    assert euler_sum(f) == f.scale(6)
+    assert _euler_sum(f) == f.scale(6)
 
 
 @settings(max_examples=40, deadline=None)
@@ -205,14 +266,14 @@ def test_euler_identity_property(nv, deg, data):
     dim = basis(nv, deg).dim
     coeffs = data.draw(st.lists(st.integers(0, P - 1), min_size=dim, max_size=dim))
     f = HomogeneousPoly(FP, nv, deg, coeffs)
-    assert euler_sum(f) == f.scale(deg)
+    assert _euler_sum(f) == f.scale(deg)
 
 
 def test_degree_zero_polynomials():
     c = HomogeneousPoly(QQ, 3, 0, [Fraction(5)])
     assert c.evaluate([1, 2, 3]) == 5
     assert partial_derivative(c, 0).is_zero()
-    assert euler_sum(c).is_zero()
+    assert _euler_sum(c).is_zero()
 
 
 def test_mixed_degree_addition_rejected():
@@ -271,6 +332,64 @@ def test_coefficient_vector_alignment():
     b = basis(2, 2)
     f = HomogeneousPoly(QQ, 2, 2, [1, 2, 3])
     d = dict(f.terms())
-    assert d[b.monomials[0]] == 1
-    assert d[b.monomials[1]] == 2
-    assert d[b.monomials[2]] == 3
+    assert _rows(b) == [(2, 0), (1, 1), (0, 2)]
+    assert d == {(2, 0): 1, (1, 1): 2, (0, 2): 3}
+
+
+def test_from_terms_refuses_negative_exponents():
+    with pytest.raises(PreconditionError):
+        HomogeneousPoly.from_terms(FP, 3, {(1, -2, 3): 1})
+    with pytest.raises(TypeError):
+        HomogeneousPoly.from_terms(FP, 2, {(1.5, 0.5): 1})  # not truncated to (1, 0)
+    # numpy integers are exponents too, held as ints.
+    f = HomogeneousPoly.from_terms(FP, 2, {(np.uint8(200), np.uint8(100)): 1})
+    assert multiply(f, f).terms() == (((400, 200), 1),)
+
+
+def test_terms_are_canonical_whatever_the_input_order():
+    f = HomogeneousPoly.from_terms(QQ, 3, {(0, 1, 1): 2, (2, 0, 0): Fraction(1, 2), (1, 0, 1): 0, (0, 0, 2): -1})
+    g = HomogeneousPoly.from_terms(QQ, 3, {(0, 0, 2): -1, (0, 1, 1): 2, (2, 0, 0): Fraction(1, 2)})
+    assert f == g
+    # Descending lex order, zero coefficients dropped, as the dense vector reads.
+    assert [e for e, _ in f.terms()] == [(2, 0, 0), (0, 1, 1), (0, 0, 2)]
+    dense = HomogeneousPoly(QQ, 3, 2, [Fraction(1, 2), 0, 0, 0, 2, -1])
+    assert dense == f and dense.terms() == f.terms()
+    assert f.to_text() == "1/2*x0^2+2*x1*x2-x2^2"
+    # A coefficient that is zero in the field leaves no term.
+    assert HomogeneousPoly.from_terms(FP, 2, {(1, 1): P, (2, 0): 1}).terms() == (((2, 0), 1),)
+
+
+def test_arithmetic_cancels_to_the_zero_of_its_degree():
+    f = parse_poly("x0^3-5*x1^3+2*x0*x1^2", FP)
+    zero = HomogeneousPoly.zero(FP, 2, 3)
+    assert (f - f) == zero and (f - f).is_zero() and (f - f).degree == 3
+    assert f.scale(0) == zero and f + zero == f
+    assert (f + f) == f.scale(2)
+    assert zero.to_text() == "0"
+
+
+def test_ring_operations_enumerate_no_basis(monkeypatch):
+    import sys
+
+    from ivhs import polyring
+    from ivhs.jacobian import JacobianContext
+
+    calls = []
+    original = polyring.basis
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ivhs") and getattr(module, "basis", None) is original:
+            monkeypatch.setattr(module, "basis", spy)
+    ctx = JacobianContext.fermat(3, 6)
+    f = parse_poly("x0^4+3*x0^2*x1*x3+x1*x2^3+x3^4", FP)
+    g = multiply(f, partial_derivative(f, 1))
+    assert ctx.generators[0].terms() == (((5, 0, 0, 0, 0), 6),)
+    assert g.degree == 7 and not g.is_zero()
+    assert calls == []
+    # The spy does see the one enumerating constructor.
+    HomogeneousPoly(FP, 2, 1, [1, 2])
+    assert calls == [(2, 1)]

@@ -4,7 +4,7 @@ frames, and the verify_theorem pipeline."""
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 import pytest
@@ -12,8 +12,8 @@ import pytest
 from ivhs.errors import PreconditionError, SingularInputError
 from ivhs.fields import QQ, FieldSpec, default_prime_field
 from ivhs.hodge import lie_algebra_residual, project
-from ivhs.jacobian import JacobianContext
-from ivhs.linalg import QuotientMap
+from ivhs.jacobian import JacobianContext, multiplication_map
+from ivhs.linalg import Matrix, QuotientMap
 from ivhs.polyring import HomogeneousPoly, parse_poly
 from ivhs.symmetrizers import fiber_forward_check
 from ivhs import theorem
@@ -168,6 +168,63 @@ class TestFixtureId:
         assert ident == fixture_id(JacobianContext(f))
 
 
+FRAME_FIELDS = [
+    pytest.param(FieldSpec.prime(10007), id="p10007"),
+    pytest.param(FieldSpec.prime(2147483629), id="p2147483629"),
+    pytest.param(QQ, id="QQ"),
+]
+# name: (f, variables, a0, weight, spacing, multipliers)
+FRAME_WINDOWS = {
+    "fermat(3,3)": ("x0^3+x1^3+x2^3+x3^3+x4^3", 5, 1, 3, 1, ["x0", "x1-2*x3"]),
+    "fermat(3,3)-weight-5": ("x0^3+x1^3+x2^3+x3^3+x4^3", 5, 0, 5, 1, ["x2", "3*x0+x4"]),
+    "fermat(3,5)": ("x0^5+x1^5+x2^5+x3^5+x4^5", 5, 0, 3, 5, ["x0^3*x1*x2", "x1^2*x3^3-x0*x2*x3*x4^2"]),
+    "cubic-curve": ("x0^3+x1^3+x2^3+x0*x1*x2", 3, 0, 3, 1, ["x0", "x1+5*x2"]),
+    "cubic-surface": ("x0^3+x1^3+x2^3+x3^3+x0*x1*x2", 4, 1, 1, 2, ["x0*x1", "x2^2-x0*x3"]),
+}
+
+
+def _product(a, b):
+    """a @ b; over Q through integer matrices scaled by their common
+    denominators, since Fraction products of 101 x 101 matrices take
+    seconds."""
+    if a.field != QQ:
+        return a @ b
+    scaled = []
+    for m in (a, b):
+        rows = m.to_rows()
+        den = lcm(1, *(x.denominator for row in rows for x in row))
+        scaled.append((np.array([[int(x * den) for x in row] for row in rows], dtype=object).reshape(m.shape), den))
+    (x, dx), (y, dy) = scaled
+    return Matrix.from_rows(QQ, [[Fraction(v, dx * dy) for v in row] for row in (x @ y).tolist()], cols=b.cols)
+
+
+def _conjugated_slots(ctx, a0, weight, mults, spacing):
+    """The frame slots P_(q+1) M_q P_q^(-1) of each multiplier, for M_q the
+    multiplication map on the window and P_q the socle pairing between
+    R^(deg(weight-q)) and R^(deg q) on the upper half (identity elsewhere)."""
+    degrees = [a0 + q * spacing for q in range(weight + 1)]
+    sp = ctx.piece(ctx.socle_degree)
+
+    def pairing(a, b):
+        rows, cols = ctx.piece(a).standard_exponents, ctx.piece(b).standard_exponents
+        return sp.classes(sp.ambient.sum_index(rows, cols).ravel()).reshape(len(rows), len(cols))
+
+    change = {q: pairing(degrees[weight - q], degrees[q]) for q in range((weight + 1) // 2, weight + 1)}
+    change_inv = {q: p.inverse() for q, p in change.items()}
+    out = []
+    for g in mults:
+        slots = []
+        for q in range(weight):
+            m = multiplication_map(ctx, g, degrees[q]).matrix
+            if q + 1 in change:
+                m = _product(change[q + 1], m)
+            if q in change:
+                m = _product(m, change_inv[q])
+            slots.append(m)
+        out.append(slots)
+    return out
+
+
 class TestRingFrames:
     def test_cubic_window(self):
         ctx = JacobianContext.fermat(3, 3)
@@ -184,7 +241,7 @@ class TestRingFrames:
         ctx = JacobianContext.fermat(3, 5)
         shape = hypersurface_hodge_shape(ctx)
         assert shape.hodge_numbers == (1, 101, 101, 1)
-        mons = ctx.piece(5).standard_monomials[:3]
+        mons = map(tuple, ctx.piece(5).standard_exponents[:3].tolist())
         mults = [HomogeneousPoly.from_terms(F, ctx.num_vars, {m: 1}) for m in mons]
         cand = geometric_frame_candidate(ctx, mults)
         assert cand.verified
@@ -202,6 +259,30 @@ class TestRingFrames:
             ring_frame_candidate(ctx, 1, 3, [], spacing=1)
         with pytest.raises(PreconditionError):
             ring_frame_candidate(ctx, 1, 3, [multiply_sample(ctx)], spacing=1)
+
+    @pytest.mark.parametrize("field", FRAME_FIELDS)
+    @pytest.mark.parametrize("name", list(FRAME_WINDOWS))
+    def test_free_slots_match_the_conjugated_maps(self, name, field):
+        # Slots 0..r computed directly, the rest completed by transposes,
+        # against the frame built by conjugating every multiplication map.
+        text, num_vars, a0, weight, spacing, mult_texts = FRAME_WINDOWS[name]
+        ctx = JacobianContext(parse_poly(text, field, num_vars=num_vars))
+        mults = [parse_poly(t, field, num_vars=num_vars) for t in mult_texts]
+        mults.append(HomogeneousPoly.zero(field, num_vars, spacing))
+        cand = ring_frame_candidate(ctx, a0, weight, mults, spacing=spacing)
+        assert cand.verified
+        oracle = _conjugated_slots(ctx, a0, weight, mults, spacing)
+        assert [list(e.slots) for e in cand.basis] == oracle
+        assert cand.basis[-1].is_zero()
+
+    def test_degenerate_pairing_refused(self):
+        # The nodal cubic threefold has a one-dimensional R^5, but its socle
+        # pairing is degenerate.
+        f = parse_poly("x4*x0^2+x4*x1^2+x4*x2^2+x4*x3^2+x0^3+x1^3+x2^3+x3^3", F, num_vars=5)
+        ctx = JacobianContext(f)
+        assert ctx.piece(ctx.socle_degree).dim == 1
+        with pytest.raises(SingularInputError, match="socle pairing degenerates between degrees 2 and 3"):
+            ring_frame_candidate(ctx, 1, 3, variables(5)[:1], spacing=1)
 
     def test_geometric_needs_window(self):
         ctx = JacobianContext.fermat(3, 3)  # d = n: window would start below 0
@@ -303,7 +384,7 @@ class TestVerifyTheorem:
         # the block of the third sampled pair (dim R^0 = 1 column per pair).
         ctx = JacobianContext.fermat(3, 5)
         top = ctx.piece(10)
-        unit = top.ambient.index(top.standard_monomials[0])
+        unit = top.ambient.index(top.standard_exponents[0])
         real = QuotientMap.scatter
         widths = []
 
@@ -392,7 +473,7 @@ class TestVerifyTheorem:
     @pytest.mark.slow
     def test_sextic_geometric_frame(self):
         ctx = JacobianContext.fermat(3, 6)
-        mons = ctx.piece(6).standard_monomials[:4]
+        mons = map(tuple, ctx.piece(6).standard_exponents[:4].tolist())
         mults = [HomogeneousPoly.from_terms(F, ctx.num_vars, {m: 1}) for m in mons]
         cand = geometric_frame_candidate(ctx, mults)
         assert cand.verified
@@ -429,9 +510,9 @@ def _reference_maps(ctx):
     n, d = ctx.n, ctx.d
     a, b = d - (n + 2), 2 * d - (n + 2)
     mid, top = ctx.piece(b), ctx.piece(b + d)
-    g = ctx.piece(d).standard_monomials
-    src = ctx.piece(a).standard_monomials if a >= 0 else ()
-    q = lambda e: top.classes(top.ambient.sum_index(mid.standard_monomials, [g[e]]).ravel())
+    g = ctx.piece(d).standard_exponents
+    src = ctx.piece(a).standard_exponents if a >= 0 else ()
+    q = lambda e: top.classes(top.ambient.sum_index(mid.standard_exponents, [g[e]]).ravel())
     alpha = lambda e: mid.classes(mid.ambient.sum_index(src, [g[e]]).ravel())
     return q, alpha
 
