@@ -56,8 +56,8 @@ def unknowns_budget() -> int:
     return val
 
 
-def check_dense_budget(rows: int, cols: int, *, what: str, budget: int | None = None) -> None:
-    cap = dense_entry_budget() if budget is None else budget
+def check_dense_budget(rows: int, cols: int, *, what: str) -> None:
+    cap = dense_entry_budget()
     entries = rows * cols
     if entries > cap:
         raise BudgetExceededError(

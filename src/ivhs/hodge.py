@@ -12,17 +12,21 @@ equivalently tX S + S X = 0 for the polarization S.  Horizontal elements
 are the degree (+1 in q) part: subdiagonal blocks A^(j+1)_j with the forced
 relation A^(n-j)_(n-j-1) = t(A^(j+1)_j), so an element is determined by its
 first r+1 slots, r = floor((n-1)/2), with a symmetric middle slot when the
-weight is odd.
+weight is odd.  An element is stored by those free slots alone, and the
+transposes above them are made when read.  A Grassmannian chart of
+horizontal k-planes is stored by its base E0, a k-dimensional subspace of
+slot-0 maps; its complement W, the coordinate complement of E0, is derived.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
 from .fields import FieldSpec
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, standard_complement
 
 Blocks = dict[tuple[int, int], Matrix]
 
@@ -148,10 +152,6 @@ class BlockMatrix:
             self.shape, self.field, {(j, i): m.transpose() for (i, j), m in self.blocks.items()}
         )
 
-    def block_degrees(self) -> set[int]:
-        """The set of i - j over nonzero blocks (grading of the support)."""
-        return {i - j for (i, j) in self.blocks}
-
 
 def polarization_matrix(shape: HodgeShape, field: FieldSpec) -> BlockMatrix:
     """Anti-diagonal polarization normal form: block (i, n-i) is (-1)^(n-i) I."""
@@ -194,104 +194,60 @@ def lie_algebra_residual(x: BlockMatrix) -> list[tuple[tuple[int, int], Matrix]]
 
 
 class HorizontalElement:
-    """A degree-(+1) infinitesimal isometry, stored by its subdiagonal slots.
+    """A degree-(+1) infinitesimal isometry, stored by its free slots 0..r.
 
-    Slot j holds A^(j+1)_j; construction enforces the transpose relations
-    (and the symmetric middle slot for odd weight), so every instance is a
-    genuine horizontal isometry.
+    Slot j holds A^(j+1)_j.  The slots above r are the forced transposes
+    A^(n-j)_(n-j-1) = t(A^(j+1)_j), made when read: ``slot`` is the one
+    place the transpose relations are written.  Construction checks the
+    symmetric middle slot of an odd weight, so every instance is a genuine
+    horizontal isometry.
     """
 
-    __slots__ = ("shape", "field", "slots")
+    __slots__ = ("shape", "field", "free")
 
-    def __init__(self, shape: HodgeShape, field: FieldSpec, slots: Sequence[Matrix]):
-        n = shape.weight
-        if len(slots) != n:
-            raise PreconditionError(f"need {n} subdiagonal slots, got {len(slots)}")
-        for j, m in enumerate(slots):
+    def __init__(self, shape: HodgeShape, field: FieldSpec, free: Sequence[Matrix]):
+        if not shape.is_symmetric:
+            raise PreconditionError("horizontal elements need h_q == h_(n-q)")
+        r1 = shape.free_slot_count
+        if len(free) != r1:
+            raise PreconditionError(f"need {r1} free slots for weight {shape.weight}, got {len(free)}")
+        for j, m in enumerate(free):
             want = shape.slot_shape(j)
             if m.shape != want:
                 raise PreconditionError(f"slot {j} must be {want}, got {m.shape}")
             if m.field != field:
                 raise PreconditionError("slot field mismatch")
-        for j in range(n):
-            forced = slots[j].transpose()
-            if slots[n - 1 - j] != forced and n - 1 - j != j:
-                raise PreconditionError(
-                    f"slot {n - 1 - j} must be the transpose of slot {j}"
-                )
-            if n - 1 - j == j and slots[j] != forced:
-                raise PreconditionError("middle slot must be symmetric for odd weight")
+        if shape.weight % 2 == 1 and free[-1] != free[-1].transpose():
+            raise PreconditionError("middle slot must be symmetric for odd weight")
         self.shape = shape
         self.field = field
-        self.slots = tuple(slots)
+        self.free = tuple(free)
 
     def slot(self, j: int) -> Matrix:
-        return self.slots[j]
+        n = self.shape.weight
+        if not 0 <= j < n:
+            raise PreconditionError(f"slot index {j} out of range for weight {n}")
+        return self.free[j] if j < len(self.free) else self.free[n - 1 - j].transpose()
 
     def as_block_matrix(self) -> BlockMatrix:
         return BlockMatrix(
-            self.shape, self.field, {(j + 1, j): m for j, m in enumerate(self.slots)}
+            self.shape, self.field, {(j + 1, j): self.slot(j) for j in range(self.shape.weight)}
         )
 
-    def free_flat(self) -> list:
-        """Concatenated row-major entries of the determining slots 0..r."""
-        out: list = []
-        for j in range(self.shape.free_slot_count):
-            out.extend(self.slots[j].flatten())
-        return out
-
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.slots)
+        return all(m.is_zero() for m in self.free)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HorizontalElement):
             return NotImplemented
-        return self.shape == other.shape and self.field == other.field and self.slots == other.slots
+        return self.shape == other.shape and self.field == other.field and self.free == other.free
 
     __hash__ = None
-
-
-def complete_horizontal(
-    shape: HodgeShape, field: FieldSpec, free_blocks: Sequence[Matrix]
-) -> HorizontalElement:
-    """Extend free subdiagonal slots 0..r to a full horizontal element.
-
-    The middle slot must be symmetric when the weight is odd; the remaining
-    slots are the forced transposes.
-    """
-    n = shape.weight
-    r1 = shape.free_slot_count
-    if len(free_blocks) != r1:
-        raise PreconditionError(f"need {r1} free blocks for weight {n}")
-    slots: list[Matrix | None] = [None] * n
-    for j, m in enumerate(free_blocks):
-        slots[j] = m
-    for j in range(r1):
-        pos = n - 1 - j
-        forced = free_blocks[j].transpose()
-        if pos == j:
-            if free_blocks[j] != forced:
-                raise PreconditionError("middle slot must be symmetric for odd weight")
-            continue
-        slots[pos] = forced
-    return HorizontalElement(shape, field, [m for m in slots])
-
-
-def zero_horizontal(shape: HodgeShape, field: FieldSpec) -> HorizontalElement:
-    return complete_horizontal(
-        shape,
-        field,
-        [Matrix.zeros(field, *shape.slot_shape(j)) for j in range(shape.free_slot_count)],
-    )
 
 
 def commutator(x: BlockMatrix, y: BlockMatrix) -> BlockMatrix:
     """x @ y - y @ x on a shared frame."""
     return x.compose(y) - y.compose(x)
-
-
-def horizontal_commutator(a: HorizontalElement, b: HorizontalElement) -> BlockMatrix:
-    return commutator(a.as_block_matrix(), b.as_block_matrix())
 
 
 @dataclass(frozen=True)
@@ -363,9 +319,10 @@ def build_transpose_element(
 ) -> IntegralElementCandidate:
     """Lift a subspace of slot-0 maps to horizontal elements alpha + t(alpha).
 
-    Each basis map alpha occupies slot 0, slots 1..n-2 vanish, and slot n-1
-    carries t(alpha).  For weight >= 3 the lifts pairwise commute (products
-    hit only vanishing slots), so the result is a verified integral element.
+    Each basis map alpha occupies slot 0 and the free slots 1..r are zero,
+    so slots 1..n-2 vanish and slot n-1 carries t(alpha).  For weight >= 3
+    the lifts pairwise commute (products hit only vanishing slots), so the
+    result is a verified integral element.
     """
     n = shape.weight
     if n < 3:
@@ -382,12 +339,8 @@ def build_transpose_element(
             m if isinstance(m, Matrix) else Matrix.from_rows(field, [list(m)]).reshape(h1, h0)
             for m in e0_rows
         ]
-    elements = []
-    for alpha in mats:
-        slots = [Matrix.zeros(field, *shape.slot_shape(j)) for j in range(n)]
-        slots[0] = alpha
-        slots[n - 1] = alpha.transpose()
-        elements.append(HorizontalElement(shape, field, slots))
+    zeros = [Matrix.zeros(field, *shape.slot_shape(j)) for j in range(1, shape.free_slot_count)]
+    elements = [HorizontalElement(shape, field, [alpha, *zeros]) for alpha in mats]
     candidate = IntegralElementCandidate(shape, field, tuple(elements))
     report = check_integral(candidate)
     if not report.ok:
@@ -402,46 +355,37 @@ def build_transpose_element(
 
 @dataclass(frozen=True)
 class ChartData:
-    """A chart of horizontal k-planes: a base subspace E0 of slot-0 maps
-    and its coordinate complement W = standard_complement(E0) in the
-    slot-0 Hom space."""
+    """A chart of horizontal k-planes around a base subspace E0 of slot-0
+    maps.  Its complement W = standard_complement(E0), the unit vectors at
+    E0's free columns, is derived from E0 once."""
 
     shape: HodgeShape
-    field: FieldSpec
     e0: Subspace
-    w: Subspace
 
     def __post_init__(self):
         h1, h0 = self.shape.slot_shape(0)
         if self.e0.ambient_dimension != h1 * h0:
             raise PreconditionError("chart base lives in the wrong Hom space")
-        # W is in RREF: pivots at E0's free columns and zeros at E0's pivot
-        # columns make its rows the unit rows of standard_complement(E0).
-        on_e0 = set(self.e0.pivots)
-        free = tuple(j for j in range(h1 * h0) if j not in on_e0)
-        w = self.w
-        if (w.ambient_dimension, w.pivots) != (h1 * h0, free) or not w.basis.col_select(self.e0.pivots).is_zero():
-            raise PreconditionError("W must be the coordinate complement of E0")
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.e0.field
+
+    @cached_property
+    def w(self) -> Subspace:
+        return standard_complement(self.e0)
 
     @property
     def k(self) -> int:
         return self.e0.dim
 
 
-def in_chart(candidate: IntegralElementCandidate, w: Subspace) -> bool:
-    """Chart precondition: slot-0 projection has full dimension and meets
-    the coordinate subspace W only at zero, i.e. its columns outside W
-    have rank k."""
-    h1, h0 = candidate.shape.slot_shape(0)
-    if w.ambient_dimension != h1 * h0:
-        raise PreconditionError("W lives in the wrong Hom space")
-    on_w = set(w.pivots)
-    outside = [j for j in range(w.ambient_dimension) if j not in on_w]
-    # W's basis is in RREF, so its rows are unit vectors iff they vanish
-    # off the pivot columns.
-    if not w.basis.col_select(outside).is_zero():
-        raise PreconditionError("W must be a coordinate subspace")
-    return _slot_rows(candidate, 0).col_select(outside).rank() == candidate.k
+def in_chart(candidate: IntegralElementCandidate, chart: ChartData) -> bool:
+    """Chart precondition: the slot-0 projection has dimension k and meets
+    W only at zero, i.e. its columns at E0's pivots have rank k."""
+    if candidate.shape != chart.shape or candidate.field != chart.field:
+        raise PreconditionError("candidate lives on a different frame")
+    return _slot_rows(candidate, 0).col_select(chart.e0.pivots).rank() == candidate.k
 
 
 @dataclass(frozen=True)
@@ -489,21 +433,18 @@ def theta(chart: ChartData, w_part: Matrix, parts: Sequence[Matrix]) -> Integral
     slot0_rows = chart.e0.basis + padded.col_select([at.get(j, chart.w.dim) for j in range(chart.e0.ambient_dimension)])
     free_maps = [_row_maps(slot0_rows, shape.slot_shape(0))]
     free_maps += [_row_maps(pm, shape.slot_shape(m)) for m, pm in enumerate(parts, start=1)]
-    elements = [complete_horizontal(shape, field, free) for free in zip(*free_maps)]
+    elements = [HorizontalElement(shape, field, free) for free in zip(*free_maps)]
     return IntegralElementCandidate(shape, field, tuple(elements))
 
 
 def theta_inverse(candidate: IntegralElementCandidate, chart: ChartData) -> ThetaCoordinates:
     """Chart coordinates of a candidate lying in the chart around E0."""
-    shape, field = chart.shape, chart.field
-    if candidate.shape != shape or candidate.field != field:
-        raise PreconditionError("candidate lives on a different frame")
     k = candidate.k
     if k != chart.k:
         raise PreconditionError(
             f"candidate spans {k} elements but the chart base has dimension {chart.k}"
         )
-    if not in_chart(candidate, chart.w):
+    if not in_chart(candidate, chart):
         raise PreconditionError("candidate is not in this chart")
     # The slot-0 rows are C (E0 + w_part W) for an invertible C.  E0 is the
     # identity on its pivot columns and W vanishes there, so those columns
@@ -511,5 +452,5 @@ def theta_inverse(candidate: IntegralElementCandidate, chart: ChartData) -> Thet
     p0 = _slot_rows(candidate, 0)
     t = p0.col_select(chart.e0.pivots).inverse()
     w_part = (t @ p0).col_select(chart.w.pivots) - chart.e0.basis.col_select(chart.w.pivots)
-    parts = [t @ _slot_rows(candidate, m) for m in range(1, shape.free_slot_count)]
+    parts = [t @ _slot_rows(candidate, m) for m in range(1, chart.shape.free_slot_count)]
     return ThetaCoordinates(chart, w_part, tuple(parts))

@@ -192,33 +192,19 @@ class GradedQuotientPiece:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiplicationMap:
-    """Multiplication by a fixed class: R^a -> R^{a+e} on standard bases."""
-
-    ctx: JacobianContext
-    multiplier: HomogeneousPoly
-    source_degree: int
-    matrix: Matrix
-
-    @property
-    def target_degree(self) -> int:
-        return self.source_degree + self.multiplier.degree
-
-
-def multiplication_map(ctx: JacobianContext, g: HomogeneousPoly, a: int) -> MultiplicationMap:
-    """The map [u] -> [g u] from R^a to R^{a + deg g}."""
+def multiplication_map(ctx: JacobianContext, g: HomogeneousPoly, a: int) -> Matrix:
+    """The map [u] -> [g u] from R^a to R^{a + deg g}, on standard bases."""
     if g.num_vars != ctx.num_vars or g.field != ctx.field:
         raise PreconditionError("multiplier lives in a different ring")
     src = ctx.piece(a)
     tgt = ctx.piece(a + g.degree)
     terms = g.terms()
     if not terms:
-        return MultiplicationMap(ctx, g, a, Matrix.zeros(ctx.field, tgt.dim, src.dim))
+        return Matrix.zeros(ctx.field, tgt.dim, src.dim)
     # Column u of the map is sum_t c_t * (class of u * x^t): one scatter of
     # (class, u, c_t) triplets.
     cols = tgt.ambient.sum_index(src.standard_exponents, [t for t, _ in terms])
-    return MultiplicationMap(ctx, g, a, tgt.class_sums(cols, [c for _, c in terms]))
+    return tgt.class_sums(cols, [c for _, c in terms])
 
 
 def action_matrix(ctx: JacobianContext, a: int, b: int) -> Matrix:
@@ -277,7 +263,7 @@ def macaulay_injectivity_check(ctx: JacobianContext, a: int, b: int) -> bool:
         while True:
             terms = {tuple(src_b.standard_exponents[i].tolist()): coeffs[i] for i in order[:s]}
             u = HomogeneousPoly.from_terms(ctx.field, ctx.num_vars, terms, degree=b)
-            if multiplication_map(ctx, u, a).matrix.rank() == dim_a:
+            if multiplication_map(ctx, u, a).rank() == dim_a:
                 return True
             if s == src_b.dim:
                 break

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import BudgetExceededError, PreconditionError, unknowns_budget
 from .fields import FieldSpec, default_prime_field
 from .hodge import HodgeShape, IntegralElementCandidate, check_integral, project, theta_inverse, ChartData
-from .linalg import Matrix, QuotientMap, Subspace, random_matrix, standard_complement
+from .linalg import Matrix, QuotientMap, Subspace, random_matrix
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ class SymmetrizerSpace:
         return Matrix.hstack([zero] * i + [self.kernel.row_select([j]).reshape(k, s.g1)] + [zero] * (s.g2 - 1 - i))
 
 
-def symmetrizer_space(e: SubspaceE, max_unknowns: int | None = None) -> SymmetrizerSpace:
+def symmetrizer_space(e: SubspaceE) -> SymmetrizerSpace:
     """Solve the symmetrizer system exactly.
 
     A system with full column rank has a zero kernel, proven by that one
@@ -153,7 +153,7 @@ def symmetrizer_space(e: SubspaceE, max_unknowns: int | None = None) -> Symmetri
     one q: stacked rows are a symmetrizer exactly when each row is.
     """
     s = e.setting
-    cap = unknowns_budget() if max_unknowns is None else max_unknowns
+    cap = unknowns_budget()
     # Counted over all of q, the width of each basis element, so that k = 1
     # with a huge g2 is still refused.
     n_unknowns = e.k * s.g2 * s.g1
@@ -176,8 +176,8 @@ def symmetrizer_space(e: SubspaceE, max_unknowns: int | None = None) -> Symmetri
     return SymmetrizerSpace(e, kernel, tuple(np.delete(np.arange(n), pivots).tolist()))
 
 
-def symmetrizer_dimension(e: SubspaceE, max_unknowns: int | None = None) -> int:
-    return symmetrizer_space(e, max_unknowns=max_unknowns).dimension
+def symmetrizer_dimension(e: SubspaceE) -> int:
+    return symmetrizer_space(e).dimension
 
 
 @dataclass(frozen=True)
@@ -419,7 +419,7 @@ def fiber_forward_check(candidate: IntegralElementCandidate, chart: ChartData | 
         e0 = project(candidate, 0)
         if e0.dim != candidate.k:
             raise PreconditionError("slot-0 projection drops dimension; choose a chart explicitly")
-        chart = ChartData(shape, candidate.field, e0, standard_complement(e0))
+        chart = ChartData(shape, e0)
     coords = theta_inverse(candidate, chart)
     g1, g0 = shape.slot_shape(0)
     e_maps = [chart.e0.basis.row_select([a]).reshape(g1, g0) for a in range(chart.k)]

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError, SingularInputError
-from .hodge import HodgeShape, IntegralElementCandidate, check_integral, complete_horizontal
+from .hodge import HodgeShape, HorizontalElement, IntegralElementCandidate, check_integral
 from .jacobian import (
     JacobianContext,
     macaulay_injectivity_check,
@@ -249,7 +249,7 @@ def ring_frame_candidate(
     source and target keep standard bases, and slot r, the map into the
     dual basis, is the socle form (i, j) -> socle coefficient of g u_i u_j
     on the middle degree: the pairing of R^(deg r) with R^(deg r+1) times
-    the multiplication map.  ``complete_horizontal`` supplies the
+    the multiplication map.  ``HorizontalElement.slot`` makes the
     transposes above, so no pairing is inverted; each upper pairing must
     have full rank.  Requires an odd weight (an even weight would need a Gram
     square root on the self-paired middle summand) and a window centered on
@@ -283,9 +283,9 @@ def ring_frame_candidate(
             )
     elements = []
     for g in multipliers:
-        free = [multiplication_map(ctx, g, degrees[q]).matrix for q in range(r + 1)]
+        free = [multiplication_map(ctx, g, degrees[q]) for q in range(r + 1)]
         free[r] = pairings[0] @ free[r]  # R^(deg r) paired with R^(deg r+1)
-        elements.append(complete_horizontal(shape, ctx.field, free))
+        elements.append(HorizontalElement(shape, ctx.field, free))
     candidate = IntegralElementCandidate(shape, ctx.field, tuple(elements))
     report = check_integral(candidate)
     if not report.ok:

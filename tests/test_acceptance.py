@@ -25,7 +25,7 @@ from ivhs.hodge import (
     project,
 )
 from ivhs.jacobian import JacobianContext, action_matrix, socle_check
-from ivhs.linalg import Matrix, Subspace, random_matrix, standard_complement
+from ivhs.linalg import Matrix, Subspace, random_matrix
 from ivhs.polyring import HomogeneousPoly
 from ivhs.symmetrizers import (
     CompositionSetting,
@@ -271,17 +271,16 @@ def test_acceptance_7_hodge_machinery():
         if project(cand, 0) != e0:
             problems.append(f"weight {weight} transpose lift does not recover its slot-0 span")
 
-    from ivhs.hodge import ChartData, complete_horizontal, theta, theta_inverse
+    from ivhs.hodge import ChartData, theta, theta_inverse
 
     shape3 = HodgeShape(3, (2, 3, 3, 2))
     rng = np.random.default_rng(705)
     rows = [random_matrix(F, 3, 2, rng).flatten() for _ in range(2)]
     e0 = Subspace.from_rows(F, rows, ambient_dimension=6)
-    w = standard_complement(e0)
-    chart = ChartData(shape3, F, e0, w)
+    chart = ChartData(shape3, e0)
     for trial in range(50):
         trng = np.random.default_rng((707, trial))
-        w_part = random_matrix(F, 2, w.dim, trng)
+        w_part = random_matrix(F, 2, chart.w.dim, trng)
         sym_rows = []
         for _ in range(2):
             m = random_matrix(F, 3, 3, trng)

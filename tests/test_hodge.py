@@ -14,8 +14,6 @@ from ivhs.hodge import (
     build_transpose_element,
     check_integral,
     commutator,
-    complete_horizontal,
-    horizontal_commutator,
     in_chart,
     lie_algebra_residual,
     polarization_matrix,
@@ -23,7 +21,6 @@ from ivhs.hodge import (
     theta,
     theta_inverse,
     verified_candidate,
-    zero_horizontal,
 )
 from ivhs.linalg import Matrix, Subspace, random_matrix, standard_complement
 
@@ -77,7 +74,18 @@ def random_horizontal(shape, field, rng):
         if shape.weight % 2 == 1 and j == shape.free_slot_count - 1:
             m = m + m.transpose()
         free.append(m)
-    return complete_horizontal(shape, field, free)
+    return HorizontalElement(shape, field, free)
+
+
+def zero_horizontal(shape, field):
+    return HorizontalElement(
+        shape, field, [Matrix.zeros(field, *shape.slot_shape(j)) for j in range(shape.free_slot_count)]
+    )
+
+
+def free_row(e):
+    """The free slots 0..r of an element, flattened row-major and concatenated."""
+    return [x for m in e.free for x in m.flatten()]
 
 
 class TestHodgeShape:
@@ -135,8 +143,9 @@ class TestBlockMatrix:
     def test_block_degrees(self):
         s = rect_shape(3, (1, 1, 1, 1))
         one = Matrix.from_rows(F, [[1]])
-        x = BlockMatrix(s, F, {(1, 0): one, (3, 2): one, (0, 2): one})
-        assert x.block_degrees() == {1, -2}
+        x = BlockMatrix(s, F, {(1, 0): one, (3, 2): one, (0, 2): one, (1, 1): Matrix.zeros(F, 1, 1)})
+        assert set(x.blocks) == {(1, 0), (3, 2), (0, 2)}
+        assert {i - j for (i, j) in x.blocks} == {1, -2}
 
 
 def dense(x: BlockMatrix) -> Matrix:
@@ -238,31 +247,62 @@ class TestHorizontalElement:
         b = random_matrix(F, 3, 2, rng)
         c = random_matrix(F, 3, 3, rng)
         c = c + c.transpose()
-        e = HorizontalElement(s, F, [b, c, b.transpose()])
+        e = HorizontalElement(s, F, [b, c])
+        assert e.free == (b, c)
+        assert e.slot(1) == c
         assert e.slot(2) == b.transpose()
-        with pytest.raises(PreconditionError):
-            HorizontalElement(s, F, [b, c, random_matrix(F, 2, 3, rng)])
         asym = random_matrix(F, 3, 3, rng)
         if asym == asym.transpose():  # vanishing chance, keep the test honest
             asym = asym + Matrix.from_rows(F, [[1 if (i, j) == (0, 1) else 0 for j in range(3)] for i in range(3)])
-        with pytest.raises(PreconditionError):
-            HorizontalElement(s, F, [b, asym, b.transpose()])
+        with pytest.raises(PreconditionError, match="middle slot must be symmetric"):
+            HorizontalElement(s, F, [b, asym])
+        with pytest.raises(PreconditionError, match="out of range"):
+            e.slot(3)
+
+    def test_construction_compares_only_the_middle_slot(self, monkeypatch):
+        # The forced transposes are made when read, so building a weight-3
+        # element compares one pair of matrices: the middle slot with its
+        # transpose.
+        s = rect_shape(3, (2, 3, 3, 2))
+        rng = np.random.default_rng(21)
+        b = random_matrix(F, 3, 2, rng)
+        c = random_matrix(F, 3, 3, rng)
+        c = c + c.transpose()
+        calls = []
+        eq = Matrix.__eq__
+
+        def counted(self, other):
+            calls.append(self.shape)
+            return eq(self, other)
+
+        monkeypatch.setattr(Matrix, "__eq__", counted)
+        HorizontalElement(s, F, [b, c])
+        assert calls == [(3, 3)]
+
+    def test_asymmetric_shape_refused(self):
+        s = rect_shape(2, (1, 2, 3))
+        with pytest.raises(PreconditionError, match="h_q == h_"):
+            HorizontalElement(s, F, [Matrix.zeros(F, 2, 1)])
 
     def test_complete_horizontal_even_weight(self):
+        # Even weight: the free slots 0 and 1 determine slots 2 and 3.
         s = rect_shape(4, (1, 2, 3, 2, 1))
         rng = np.random.default_rng(23)
         b = random_matrix(F, 2, 1, rng)
         c = random_matrix(F, 3, 2, rng)
-        e = complete_horizontal(s, F, [b, c])
+        e = HorizontalElement(s, F, [b, c])
         assert e.slot(0) == b
         assert e.slot(1) == c
         assert e.slot(2) == c.transpose()
         assert e.slot(3) == b.transpose()
 
     def test_complete_horizontal_wrong_count(self):
+        # Slots 0..r and nothing else: too few or a full slot list is refused.
         s = rect_shape(3, (1, 2, 2, 1))
-        with pytest.raises(PreconditionError):
-            complete_horizontal(s, F, [Matrix.zeros(F, 2, 1)])
+        with pytest.raises(PreconditionError, match="need 2 free slots"):
+            HorizontalElement(s, F, [Matrix.zeros(F, 2, 1)])
+        with pytest.raises(PreconditionError, match="need 2 free slots"):
+            HorizontalElement(s, F, [Matrix.zeros(F, 2, 1), Matrix.zeros(F, 2, 2), Matrix.zeros(F, 1, 2)])
 
     def test_every_element_is_an_isometry(self):
         rng = np.random.default_rng(29)
@@ -271,14 +311,8 @@ class TestHorizontalElement:
             for _ in range(5):
                 e = random_horizontal(s, F, rng)
                 x = e.as_block_matrix()
-                assert x.block_degrees() <= {1}
+                assert set(x.blocks) <= {(j + 1, j) for j in range(weight)}
                 assert lie_algebra_residual(x) == []
-
-    def test_free_flat_length(self):
-        s = rect_shape(3, (2, 3, 3, 2))
-        e = zero_horizontal(s, F)
-        assert e.is_zero()
-        assert len(e.free_flat()) == 3 * 2 + 3 * 3
 
 
 class TestCommutators:
@@ -318,7 +352,7 @@ class TestCommutators:
         rng = np.random.default_rng(41)
         e1 = random_horizontal(s, F, rng)
         e2 = random_horizontal(s, F, rng)
-        c = horizontal_commutator(e1, e2)
+        c = commutator(e1.as_block_matrix(), e2.as_block_matrix())
         manual = e1.as_block_matrix() @ e2.as_block_matrix() - e2.as_block_matrix() @ e1.as_block_matrix()
         assert c == manual
 
@@ -363,26 +397,32 @@ class TestChart:
         rows = [random_matrix(F, 3, 2, self.rng).flatten() for _ in range(2)]
         self.e0 = Subspace.from_rows(F, rows, ambient_dimension=6)
         assert self.e0.dim == 2
-        self.w = standard_complement(self.e0)
-        self.chart = ChartData(self.shape, F, self.e0, self.w)
+        self.chart = ChartData(self.shape, self.e0)
+        self.w = self.chart.w
 
-    def test_complement_validation(self):
-        bad = Subspace.from_rows(F, [self.e0.basis.row(0)], ambient_dimension=6)
-        with pytest.raises(PreconditionError):
-            ChartData(self.shape, F, self.e0, bad)
+    def test_chart_is_derived_from_its_base(self):
+        assert self.chart.field == F
+        assert self.w == standard_complement(self.e0)
+        assert self.chart.w is self.w  # computed once
+        with pytest.raises(PreconditionError, match="wrong Hom space"):
+            ChartData(rect_shape(3, (2, 4, 4, 2)), self.e0)
 
     def test_in_chart(self):
         cand = build_transpose_element(self.e0, self.shape, F)
-        assert in_chart(cand, self.w)
+        assert in_chart(cand, self.chart)
         # a candidate whose slot-0 span degenerates is outside every chart
         e = cand.basis[0]
         degenerate = IntegralElementCandidate(self.shape, F, (e, e))
-        assert not in_chart(degenerate, self.w)
+        assert not in_chart(degenerate, self.chart)
         # a candidate meeting W nontrivially is outside this chart
         wrow = self.w.basis.row(0)
         wmat = Matrix.from_rows(F, [wrow[i * 2 : (i + 1) * 2] for i in range(3)], cols=2)
         other = build_transpose_element([wmat], self.shape, F)
-        assert not in_chart(other, self.w)
+        assert not in_chart(other, self.chart)
+        # a candidate on another frame is refused, not ranked
+        wide = build_transpose_element([random_matrix(F, 3, 3, self.rng)], rect_shape(3, (3, 3, 3, 3)), F)
+        with pytest.raises(PreconditionError, match="different frame"):
+            in_chart(wide, self.chart)
 
     @pytest.mark.parametrize("p", [10007, 2147483629])  # float64 and int64 elimination
     def test_theta_inverse_of_theta_is_identity(self, p):
@@ -398,7 +438,7 @@ class TestChart:
         ]
         assert bases[1].basis.col_select([0, 1]).is_zero() and bases[2].dim == 6
         for e0 in bases:
-            chart = ChartData(self.shape, fld, e0, standard_complement(e0))
+            chart = ChartData(self.shape, e0)
             k = chart.k
             for trial in range(25):
                 rng = np.random.default_rng((61, trial))
@@ -417,20 +457,6 @@ class TestChart:
                 assert coords.w_part == w_part
                 assert coords.parts[0] == part1
 
-    def test_chart_needs_the_coordinate_complement(self):
-        # W' = span(w_0 + e_0, w_1, ...) is a complement of E0, but not the
-        # coordinate one
-        shift = Matrix.vstack([self.e0.basis.row_select([0]), Matrix.zeros(F, self.w.dim - 1, 6)])
-        other = Subspace.from_rows(F, self.w.basis + shift)
-        # dim W' + dim E0 = 6 and the stacked bases have rank 6.
-        assert other.dim + self.e0.dim == 6 and other != self.w
-        assert Matrix.vstack([other.basis, self.e0.basis]).rank() == 6
-        with pytest.raises(PreconditionError):
-            ChartData(self.shape, F, self.e0, other)
-        cand = build_transpose_element(self.e0, self.shape, F)
-        with pytest.raises(PreconditionError):
-            in_chart(cand, other)
-
     def test_coordinates_are_basis_independent(self):
         # chart coordinates depend on the plane, not the spanning basis:
         # remixing the basis by any invertible matrix leaves them fixed
@@ -447,22 +473,20 @@ class TestChart:
                 sym_rows.append(m.flatten())
             part1 = Matrix.from_rows(F, sym_rows, cols=9)
             cand = theta(self.chart, w_part, [part1])
-            mixed_rows = mix @ Matrix.from_rows(
-                F, [e.free_flat() for e in cand.basis], cols=6 + 9
-            )
+            mixed_rows = mix @ Matrix.from_rows(F, [free_row(e) for e in cand.basis], cols=6 + 9)
             elements = []
             for a in range(2):
                 flat = mixed_rows.row(a)
                 alpha = Matrix.from_rows(F, [flat[i * 2 : (i + 1) * 2] for i in range(3)], cols=2)
                 mid = Matrix.from_rows(F, [flat[6 + i * 3 : 6 + (i + 1) * 3] for i in range(3)], cols=3)
-                elements.append(complete_horizontal(self.shape, F, [alpha, mid]))
+                elements.append(HorizontalElement(self.shape, F, [alpha, mid]))
             mixed = IntegralElementCandidate(self.shape, F, tuple(elements))
             coords = theta_inverse(mixed, self.chart)
             assert coords.w_part == w_part
             assert coords.parts[0] == part1
             back = theta(self.chart, coords.w_part, list(coords.parts))
-            span = Subspace.from_rows(F, [e.free_flat() for e in mixed.basis], ambient_dimension=15)
-            span_back = Subspace.from_rows(F, [e.free_flat() for e in back.basis], ambient_dimension=15)
+            span = Subspace.from_rows(F, [free_row(e) for e in mixed.basis], ambient_dimension=15)
+            span_back = Subspace.from_rows(F, [free_row(e) for e in back.basis], ambient_dimension=15)
             assert span == span_back
 
     def test_transpose_lift_has_zero_coordinates(self):

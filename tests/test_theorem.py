@@ -215,7 +215,7 @@ def _conjugated_slots(ctx, a0, weight, mults, spacing):
     for g in mults:
         slots = []
         for q in range(weight):
-            m = multiplication_map(ctx, g, degrees[q]).matrix
+            m = multiplication_map(ctx, g, degrees[q])
             if q + 1 in change:
                 m = _product(change[q + 1], m)
             if q in change:
@@ -272,7 +272,7 @@ class TestRingFrames:
         cand = ring_frame_candidate(ctx, a0, weight, mults, spacing=spacing)
         assert cand.verified
         oracle = _conjugated_slots(ctx, a0, weight, mults, spacing)
-        assert [list(e.slots) for e in cand.basis] == oracle
+        assert [[e.slot(j) for j in range(weight)] for e in cand.basis] == oracle
         assert cand.basis[-1].is_zero()
 
     def test_degenerate_pairing_refused(self):

@@ -57,3 +57,24 @@ def test_one_elimination_is_one_traced_call(op):
     names = [rec.names[i] for i in rec.name]
     assert names.count("linalg._fp_rref") == (0 if op == "rank" else 1)
     assert rec.counts["elim_calls"] == 1
+
+
+def test_multiplication_map_counts_its_entries():
+    # jacobian.action_entries adds rows x cols of what multiplication_map
+    # returns: one traced call must count exactly the entries of its matrix.
+    from ivhs import jacobian
+    from ivhs.polyring import parse_poly
+
+    tracing = _tracing()
+    ctx = jacobian.JacobianContext.fermat(3, 4)
+    g = parse_poly("x0*x1 + 3*x2^2", ctx.field, num_vars=ctx.num_vars)
+    rec = tracing.SpanRecorder()
+    tracer = tracing.Tracer(rec)
+    tracer.install()
+    try:
+        mat = jacobian.multiplication_map(ctx, g, 2)
+    finally:
+        tracer.uninstall()
+    assert [rec.names[i] for i in rec.name].count("jacobian.multiplication_map") == 1
+    assert mat.shape == (ctx.piece(4).dim, ctx.piece(2).dim) and not mat.is_zero()
+    assert rec.counts["action_entries"] == mat.rows * mat.cols
