@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -454,6 +455,21 @@ def _q_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return a[:r], pivots
 
 
+def _q_integral(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """An object array of Fractions as integers times 1/den, den the lcm of
+    its denominators."""
+    den = lcm(*(x.denominator for x in a.flat))
+    return np.array([x.numerator * (den // x.denominator) for x in a.flat], dtype=object).reshape(a.shape), den
+
+
+def _q_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over Q through integers: the inner sums add Python ints, and
+    each entry is divided once by the product of the two scales."""
+    (x, dx), (y, dy) = _q_integral(a), _q_integral(b)
+    den = dx * dy
+    return np.array([Fraction(v, den) for v in (x @ y).flat], dtype=object).reshape(a.shape[0], b.shape[1])
+
+
 # ---------------------------------------------------------------------------
 # Matrix
 # ---------------------------------------------------------------------------
@@ -474,7 +490,7 @@ class Matrix:
     stacking, reshaping and comparison are the same numpy operations over
     both fields.  Only these look at the field: ``_reduced`` (the
     mod-p reduction after +, -, negation and scaling),
-    ``_zeros``, the product (``_fp_matmul`` or object ``@``) and
+    ``_zeros``, the product (``_fp_matmul`` or ``_q_matmul``) and
     elimination (the F_p kernels or ``_q_rref``); ``array`` and
     ``from_array`` exist over F_p only.  Elimination is deterministic
     (first nonzero pivot), so rref, pivot columns, and kernel bases are
@@ -612,9 +628,9 @@ class Matrix:
             )
         if self.field.is_prime_field:
             return Matrix(self.field, _fp_matmul(self._a, other._a, self.field.modulus))
-        if self.cols == 0:  # object @ would give int zeros
+        if self.cols == 0:  # no products to sum
             return Matrix.zeros(self.field, self.rows, other.cols)
-        return Matrix(self.field, self._a @ other._a)
+        return Matrix(self.field, _q_matmul(self._a, other._a))
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, np.ascontiguousarray(self._a.T))

@@ -49,15 +49,21 @@ def _exponents_desc_lex(num_vars: int, degree: int) -> np.ndarray:
     return blocks[-1]
 
 
+# Most entries of one digit table: a group takes as many digits as fit, and
+# at least one, whose table has degree + 1 entries.
+_TABLE_ENTRIES = 2**16
+
+
 class MonomialBasis:
     """All monomials of a fixed total degree as one read-only exponent array,
     one row each, in descending lex order.
 
     Its dtype is the smallest unsigned one that holds ``degree``: bases stay
-    cached, and ``sum_index`` widens to int64 only for its product.
+    cached.  The digit tables of ``sum_index`` are built by its first lookup
+    and stay with the basis.
     """
 
-    __slots__ = ("num_vars", "degree", "exponents", "_keys")
+    __slots__ = ("num_vars", "degree", "exponents", "_tables")
 
     def __init__(self, num_vars: int, degree: int):
         if num_vars < 1:
@@ -69,8 +75,7 @@ class MonomialBasis:
         e = _exponents_desc_lex(num_vars, degree)
         e.flags.writeable = False
         self.exponents: np.ndarray = e
-        # Ascending keys, built by the first lookup.
-        self._keys: np.ndarray | None = None
+        self._tables: tuple[np.ndarray, list[np.ndarray]] | None = None
 
     def __len__(self) -> int:
         return self.exponents.shape[0]
@@ -83,26 +88,68 @@ class MonomialBasis:
         """Position of one monomial; KeyError for anything not in the basis."""
         return int(self.sum_index([exponents], [(0,) * self.num_vars])[0, 0])
 
-    def _key_weights(self) -> np.ndarray:
-        """Place values of the mixed-radix key: exponents are digits in base
-        degree + 1, x0 most significant, so descending lex order is
-        descending key order."""
-        base = self.degree + 1
-        if base ** self.num_vars > np.iinfo(np.int64).max:
-            raise PreconditionError(
-                f"monomial keys of degree {self.degree} in {self.num_vars} variables overflow int64"
-            )
-        return base ** np.arange(self.num_vars - 1, -1, -1, dtype=np.int64)
+    def _digit_tables(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Key weights (one column per group) and the digit tables.
+
+        With D the degree, N the arity and s_i = e_0 + ... + e_{i-1}, the
+        index of e is the sum over positions i < N - 1 of
+        C(D - s_{i+1} - 1 + N-1-i, N-1-i), the number of monomials that agree
+        with e before position i and exceed it there (0 when s_{i+1} = D).
+        The positions split into consecutive groups [a..b].  The terms of a
+        group depend only on the digits s_{a+1}, e_{a+1}, ..., e_b, each in
+        [0, D]; its key reads them in base D + 1 and is linear in e.  The
+        digits of a sum of exponent tuples of total degree D are at most D,
+        so key(u + v) = key(u) + key(v).  A group's table maps its key to the
+        sum of its terms, scattered from the basis rows, in which every
+        digit tuple of a degree-D monomial occurs; when one group holds all
+        positions that sum is the row's index.
+        """
+        if self._tables is None:
+            n, d = self.num_vars, self.degree
+            base, positions = d + 1, n - 1
+            width = 1
+            while width < positions and base ** (width + 1) <= _TABLE_ENTRIES:
+                width += 1
+            groups = [(a, min(a + width, positions)) for a in range(0, positions, width)]
+            # Keys are below max(2^16, D + 1), and D + 1 < 2^31 for any basis
+            # with a table (N >= 2, so at least D + 1 rows): int32 keys halve
+            # the temporary sums of a lookup.
+            weights = np.zeros((n, len(groups)), dtype=np.int32)
+            for g, (a, end) in enumerate(groups):
+                top = end - 1 - a  # place of the s_{a+1} digit
+                weights[: a + 1, g] = base**top
+                weights[a + 1 : end, g] = base ** np.arange(top - 1, -1, -1)
+            keys = self.exponents @ weights
+            s = np.zeros(self.dim, dtype=np.int64)  # s_{i+1} of every row
+            tables = []
+            for g, (a, end) in enumerate(groups):
+                if len(groups) == 1:
+                    value = np.arange(self.dim, dtype=np.int64)
+                else:
+                    value = np.zeros(self.dim, dtype=np.int64)
+                    for i in range(a, end):
+                        s += self.exponents[:, i]
+                        r = n - 1 - i
+                        # The term of position i by the value of s_{i+1}.
+                        value += np.array([comb(d - t - 1 + r, r) for t in range(d)] + [0], dtype=np.int64)[s]
+                table = np.zeros(base ** (end - a), dtype=np.int64)
+                table[keys[:, g]] = value
+                tables.append(table)
+            self._tables = (weights, tables)
+        return self._tables
 
     def _exponent_keys(
         self, monomials: Sequence[Exponents] | np.ndarray, weights: np.ndarray
     ) -> tuple[np.ndarray, int]:
-        """Keys of homogeneous ``monomials`` and their common degree."""
-        e = np.asarray(monomials, dtype=np.int64).reshape(len(monomials), -1)
+        """Group keys of homogeneous ``monomials`` (one row per group) and
+        their common degree."""
+        e = np.asarray(monomials)
+        unsigned = e.dtype.kind == "u"  # needs no negativity pass
+        e = (e if unsigned else e.astype(np.int64, copy=False)).reshape(len(monomials), -1)
         degrees = e.sum(axis=1)
-        if e.shape[1] != self.num_vars or e.min() < 0 or (degrees != degrees[0]).any():
+        if e.shape[1] != self.num_vars or (not unsigned and e.min() < 0) or (degrees != degrees[0]).any():
             raise KeyError("monomials must be homogeneous exponent tuples of the basis arity")
-        return e @ weights, int(degrees[0])
+        return (e @ weights).astype(np.int32, copy=False).T, int(degrees[0])
 
     def sum_index(
         self, left: Sequence[Exponents] | np.ndarray, right: Sequence[Exponents] | np.ndarray
@@ -112,23 +159,24 @@ class MonomialBasis:
         be exponent tuples or an integer array of them, one row each, such
         as ``MonomialBasis.exponents``.
 
-        The key is linear in the exponents, so key(u + v) = key(u) + key(v);
-        a sum of nonnegative exponent tuples of total degree ``degree`` is a
-        basis monomial, found by one binary search of the ascending keys.
-        Raises KeyError when the degrees of ``left`` and ``right`` do not add
-        up to ``degree``.
+        The group keys are linear in the exponents, so the index of u + v is
+        one gather per digit table at key(u) + key(v): one gather in all but
+        the widest bases.  Raises KeyError when the degrees of ``left`` and
+        ``right`` do not add up to ``degree``.
         """
         if len(left) == 0 or len(right) == 0:
             return np.zeros((len(left), len(right)), dtype=np.int64)
-        weights = self._key_weights()
+        weights, tables = self._digit_tables()
         lk, ldeg = self._exponent_keys(left, weights)
         rk, rdeg = self._exponent_keys(right, weights)
         if ldeg + rdeg != self.degree:
             raise KeyError(f"degrees {ldeg} + {rdeg} do not add up to {self.degree}")
-        if self._keys is None:
-            # The basis read backwards.
-            self._keys = self.exponents[::-1] @ weights
-        return self.dim - 1 - np.searchsorted(self._keys, lk[:, None] + rk[None, :])
+        if not tables:  # one variable
+            return np.zeros((len(left), len(right)), dtype=np.int64)
+        index = tables[0][lk[0][:, None] + rk[0]]
+        for table, lg, rg in zip(tables[1:], lk[1:], rk[1:]):
+            index += table[lg[:, None] + rg]
+        return index
 
 
 @lru_cache(maxsize=None)

@@ -201,6 +201,28 @@ def test_matmul_exactness_large_inner_dimension():
     assert prod == expect
 
 
+def _random_rational(rng, shape):
+    """Fractions with small numerators of either sign, zeros among them, and
+    denominators 1 to 6."""
+    nums = rng.integers(-9, 10, size=shape) * (rng.random(shape) < 0.8)
+    dens = rng.integers(1, 7, size=shape)
+    return np.array([Fraction(int(n), int(d)) for n, d in zip(nums.flat, dens.flat)], dtype=object).reshape(shape)
+
+
+@pytest.mark.parametrize("m, k, n", [(1, 1, 1), (5, 7, 3), (12, 12, 12), (4, 0, 6), (3, 9, 0)])
+def test_matmul_over_q_matches_fraction_products(m, k, n):
+    rng = np.random.default_rng(m * 100 + k * 10 + n)
+    a, b = _random_rational(rng, (m, k)), _random_rational(rng, (k, n))
+    a[0, :: 2] = [Fraction(int(x)) for x in rng.integers(-5, 6, size=len(a[0, ::2]))]  # unit denominators
+    prod = Matrix.from_rows(QQ, a.tolist(), cols=k) @ Matrix.from_rows(QQ, b.tolist(), cols=n)
+    expect = a @ b if k else np.full((m, n), Fraction(0), dtype=object)
+    assert prod.shape == (m, n)
+    assert prod.to_rows() == expect.tolist()
+    assert all(type(x) is Fraction for x in prod.flatten())
+    zero = Matrix.zeros(QQ, k, n)
+    assert (Matrix.from_rows(QQ, a.tolist(), cols=k) @ zero) == Matrix.zeros(QQ, m, n)
+
+
 def test_matmul_large_prime_int64_path():
     big = FieldSpec.prime(2147483629)
     rng = np.random.default_rng(5)

@@ -31,9 +31,14 @@ P = FP.modulus
 
 
 def _monomials(num_vars, degree):
-    """Reference: every exponent tuple of the degree, in descending lex order."""
-    box = itertools.product(range(degree + 1), repeat=num_vars)
-    return sorted((e for e in box if sum(e) == degree), reverse=True)
+    """Reference: every exponent tuple of the degree, in descending lex order,
+    one per placement of num_vars - 1 bars among degree + num_vars - 1 slots."""
+    slots = degree + num_vars - 1
+    out = []
+    for bars in itertools.combinations(range(slots), num_vars - 1):
+        cuts = (-1, *bars, slots)
+        out.append(tuple(b - a - 1 for a, b in zip(cuts, cuts[1:])))
+    return sorted(out, reverse=True)
 
 
 def _rows(b):
@@ -111,8 +116,8 @@ def test_basis_index_round_trip():
 
 def test_basis_index_refuses_non_members():
     b = basis(3, 2)
-    # The mixed-radix key of (1, -2, 3) is 6, the key of (0, 2, 0): a lookup
-    # that skipped the nonnegativity check would return a wrong index.
+    # The digit key of (1, -2, 3) is 1, the key of (0, 1, 1): a lookup that
+    # skipped the nonnegativity check would return a wrong index.
     with pytest.raises(KeyError):
         b.index((1, -2, 3))
     with pytest.raises(KeyError):
@@ -133,19 +138,32 @@ def test_basis_holds_only_its_exponent_array():
 
 
 def _dict_sum_index(amb, left, right):
-    """Reference: look every exponent sum up in the basis index."""
-    table = [[amb.index(tuple(a + b for a, b in zip(u, v))) for v in right] for u in left]
+    """Reference: look every exponent sum up in a dict of the reference
+    monomials of the ambient degree."""
+    position = {e: i for i, e in enumerate(_monomials(amb.num_vars, amb.degree))}
+    table = [[position[tuple(a + b for a, b in zip(u, v))] for v in right] for u in left]
     return np.array(table, dtype=np.int64).reshape(len(left), len(right))
+
+
+def _spread(rows, most=256):
+    """Every k-th row, k the least stride that keeps at most ``most``."""
+    return rows[:: -(-len(rows) // most)]
 
 
 @pytest.mark.parametrize(
     "num_vars, left_deg, right_deg",
-    [(1, 0, 0), (1, 3, 4), (2, 0, 0), (3, 0, 2), (3, 2, 0), (4, 3, 3), (5, 1, 6), (5, 4, 4)],
+    [
+        (1, 0, 0), (1, 3, 4), (2, 0, 0), (3, 0, 2), (3, 2, 0), (4, 3, 3), (5, 1, 6), (5, 4, 4),
+        # verify-fermat's ambient S_13, one digit table
+        (5, 6, 7),
+        # two digit tables each
+        (6, 10, 10), (7, 4, 5), (6, 0, 20),
+    ],
 )
 def test_sum_index_matches_dict_lookup(num_vars, left_deg, right_deg):
     amb = basis(num_vars, left_deg + right_deg)
-    left = _monomials(num_vars, left_deg)
-    right = _monomials(num_vars, right_deg)
+    left = _spread(_monomials(num_vars, left_deg))
+    right = _spread(_monomials(num_vars, right_deg))
     got = amb.sum_index(left, right)
     assert got.dtype == np.int64
     assert np.array_equal(got, _dict_sum_index(amb, left, right))
@@ -153,10 +171,28 @@ def test_sum_index_matches_dict_lookup(num_vars, left_deg, right_deg):
     sub = left[::-2]
     assert np.array_equal(amb.sum_index(sub, right), _dict_sum_index(amb, sub, right))
     # Exponent arrays, as bases and pieces keep them, on either side.
-    exps = basis(num_vars, left_deg).exponents
+    exps = _spread(basis(num_vars, left_deg).exponents)
     assert exps.tolist() == [list(e) for e in left]
     assert np.array_equal(amb.sum_index(exps, right), got)
-    assert np.array_equal(amb.sum_index(exps[::-2], basis(num_vars, right_deg).exponents), _dict_sum_index(amb, sub, right))
+    assert np.array_equal(amb.sum_index(exps[::-2], _spread(basis(num_vars, right_deg).exponents)), _dict_sum_index(amb, sub, right))
+
+
+def test_sum_index_never_searches(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sum_index must not search")
+
+    monkeypatch.setattr(np, "searchsorted", refuse)
+    amb = MonomialBasis(5, 13)
+    left, right = _spread(_monomials(5, 6)), _spread(_monomials(5, 7))
+    assert np.array_equal(amb.sum_index(left, right), _dict_sum_index(amb, left, right))
+
+
+def test_sum_index_tables_stay_small():
+    b = MonomialBasis(6, 20)
+    assert b.index((20, 0, 0, 0, 0, 0)) == 0
+    _, tables = b._tables
+    assert len(tables) == 2
+    assert max(t.size for t in tables) <= 2**16
 
 
 def test_sum_index_empty_sides():
@@ -181,10 +217,14 @@ def test_sum_index_refuses_wrong_degrees():
         amb.sum_index([(3, -1, 0)], [(1, 1, 0)])  # negative exponent
 
 
-def test_sum_index_refuses_keys_beyond_int64():
-    amb = basis(64, 1)  # (1 + 1)^64 keys do not fit in int64
-    with pytest.raises(PreconditionError):
-        amb.sum_index(basis(64, 0).exponents, amb.exponents)
+def test_sum_index_in_64_variables():
+    # A key with one digit per variable would need 2^64 values here.
+    amb = basis(64, 1)
+    one = _monomials(64, 1)
+    assert np.array_equal(amb.sum_index(basis(64, 0).exponents, amb.exponents), [list(range(64))])
+    assert np.array_equal(amb.sum_index([(0,) * 64], one), _dict_sum_index(amb, [(0,) * 64], one))
+    two = basis(64, 2)
+    assert np.array_equal(two.sum_index(one, one), _dict_sum_index(two, one, one))
 
 
 def test_multiply_monomials():
