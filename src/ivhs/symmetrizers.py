@@ -11,15 +11,17 @@ assembled and solved for one row of q.  The unknowns of that system are the
 k stacked rows y_a of q(alpha_a), and each pair contributes g0 equations,
 t(alpha_a) against column group b minus t(alpha_b) against column group a.
 The kernel is verified once, its rows stacked as one q, and the g2-fold
-basis is built only when it is read.
+basis is built only when it is read.  A subspace keeps its solved space.
 
 Witness constructions: an explicit rank-one pair when dim G^1 = 1, and the
 direct-sum construction for arbitrary (g0, g1) built from verified random
-witnesses in the divisible regime, with deterministic seed derivation.
+witnesses in the divisible regime, with deterministic seed derivation.  A
+direct sum is certified by its blocks and its cross-block system.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,10 +65,13 @@ class CompositionSetting:
 @dataclass(frozen=True)
 class SubspaceE:
     """A subspace of Hom(G^0, G^1) with a chosen independent basis of
-    g1 x g0 matrices."""
+    g1 x g0 matrices.  Its symmetrizer space, once solved, is kept with it
+    as the kernel and free unknowns ``symmetrizer_space`` found."""
 
     setting: CompositionSetting
     basis: tuple[Matrix, ...]
+    _solved: tuple[Matrix, tuple[int, ...]] | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = self.setting
@@ -144,36 +149,49 @@ class SymmetrizerSpace:
         return Matrix.hstack([zero] * i + [self.kernel.row_select([j]).reshape(k, s.g1)] + [zero] * (s.g2 - 1 - i))
 
 
-def symmetrizer_space(e: SubspaceE) -> SymmetrizerSpace:
-    """Solve the symmetrizer system exactly.
-
-    A system with full column rank has a zero kernel, proven by that one
-    rank.  Otherwise the system is reduced to RREF and its kernel is
-    verified against the symmetrizer identity once, its rows stacked into
-    one q: stacked rows are a symmetrizer exactly when each row is.
-    """
-    s = e.setting
+def _refuse_over_budget(e: SubspaceE) -> None:
+    """Refuse a subspace whose q has more unknowns than IVHS_MAX_UNKNOWNS.
+    Counted over all of q, the width of each basis element, so that k = 1
+    with a huge g2 is still refused."""
     cap = unknowns_budget()
-    # Counted over all of q, the width of each basis element, so that k = 1
-    # with a huge g2 is still refused.
-    n_unknowns = e.k * s.g2 * s.g1
+    n_unknowns = e.k * e.setting.g2 * e.setting.g1
     if n_unknowns > cap:
         raise BudgetExceededError(
             f"symmetrizer system has {n_unknowns} unknowns, beyond the cap of {cap} "
             "(raise IVHS_MAX_UNKNOWNS to override)"
         )
+
+
+def _keep(e: SubspaceE, kernel: Matrix, free: tuple[int, ...]) -> SymmetrizerSpace:
+    object.__setattr__(e, "_solved", (kernel, free))
+    return SymmetrizerSpace(e, kernel, free)
+
+
+def symmetrizer_space(e: SubspaceE) -> SymmetrizerSpace:
+    """Solve the symmetrizer system exactly, once per subspace.
+
+    A system with full column rank has a zero kernel, proven by that one
+    rank.  Otherwise the system is reduced to RREF and its kernel is
+    verified against the symmetrizer identity once, its rows stacked into
+    one q: stacked rows are a symmetrizer exactly when each row is.  The
+    subspace keeps what was solved, and later calls return it.
+    """
+    _refuse_over_budget(e)
+    if e._solved is not None:
+        return SymmetrizerSpace(e, *e._solved)
+    s = e.setting
     system = symmetrizer_system(e)
     n = system.cols
     # A wide system has a kernel by counting, so only a tall or square one is
     # ranked first.
     if system.rows >= n and system.rank() == n:
-        return SymmetrizerSpace(e, Matrix.zeros(s.field, 0, n), ())
+        return _keep(e, Matrix.zeros(s.field, 0, n), ())
     r, pivots = system.rref()
     kernel = QuotientMap.of_rref(s.field, n, pivots, r).classes(range(n))  # one row of q per row
     q_values = [kernel.col_select(range(a * s.g1, (a + 1) * s.g1)) for a in range(e.k)]
     if not verify_candidate_symmetrizer(list(e.basis), q_values).holds:
         raise AssertionError("kernel fails the symmetrizer identity")
-    return SymmetrizerSpace(e, kernel, tuple(np.delete(np.arange(n), pivots).tolist()))
+    return _keep(e, kernel, tuple(np.delete(np.arange(n), pivots).tolist()))
 
 
 def symmetrizer_dimension(e: SubspaceE) -> int:
@@ -273,6 +291,30 @@ def _sampled_divisible_witness(
     )
 
 
+def _cross_block_system(e: SubspaceE, k0: int, r0: int) -> Matrix:
+    """The cross-pair equations of a two-block E, on their own unknowns.
+
+    Let E = E_0 + E_1, with basis maps 0..k0-1 landing in the rows B_0 =
+    [0, r0) of G^1 and the rest in B_1 = [r0, g1).  Split each unknown row
+    y_a into its B_0 and B_1 columns.  A pair inside E_i sees only the B_i
+    columns of its own unknowns, and a cross pair (a < k0 <= b) gives
+    y_b^{B_0} alpha_a = y_a^{B_1} alpha_b, which sees only the other
+    columns.  These are the rows of ``symmetrizer_system(e)`` for the cross
+    pairs, restricted to the cross columns, where all their nonzero entries
+    lie.  The system is block diagonal, so
+
+        dim Sym(E) = dim Sym(E_0|B_0) + dim Sym(E_1|B_1) + dim ker(cross).
+    """
+    s, k = e.setting, e.k
+    i = np.arange(k)
+    a, b = np.nonzero(i[:, None] < i)  # pairs a < b, in the system's row order
+    pairs = np.flatnonzero((a < k0) & (b >= k0))
+    rows = (pairs[:, None] * s.g0 + np.arange(s.g0)).ravel()
+    unknown = np.arange(k * s.g1)
+    cols = np.flatnonzero((unknown // s.g1 < k0) == (unknown % s.g1 >= r0))
+    return symmetrizer_system(e).row_select(rows).col_select(cols)
+
+
 def prop4_construction(setting: CompositionSetting, seed: int = 0) -> SubspaceE:
     """A subspace of Hom(G^0, G^1) with zero symmetrizer space and dimension
 
@@ -280,9 +322,11 @@ def prop4_construction(setting: CompositionSetting, seed: int = 0) -> SubspaceE:
         3p - 1  if the fractional block is a line (and p > 1),
         2       if g1 = 1 (p = 1, rank-one pair),
 
-    where p = ceil(g1 / g0).  Every returned witness is verified exactly: a
-    divisible one is the sampled subspace its check solved, and a direct sum
-    is solved once more as a whole.
+    where p = ceil(g1 / g0).  Every returned witness is verified exactly and
+    keeps its zero symmetrizer space: a divisible one is the sampled subspace
+    its check solved.  A direct sum of a free block and a tail block is
+    certified by the solves of its two blocks and the full column rank of
+    its cross-block system (``_cross_block_system``); it is not solved whole.
     """
     g0, g1, g2, field = setting.g0, setting.g1, setting.g2, setting.field
     if g0 < 2:
@@ -294,20 +338,28 @@ def prop4_construction(setting: CompositionSetting, seed: int = 0) -> SubspaceE:
         return _sampled_divisible_witness(g0, p, g2, field, (seed, 0))
     tail = g1 - (p - 1) * g0  # dimension of the fractional block, in [1, g0)
     if tail == 1:
-        tail_maps = list(lemma3_rank_one_construction(g0, g2, field).basis)
+        tail_e = lemma3_rank_one_construction(g0, g2, field)
+        tail_maps = list(tail_e.basis)
     else:
-        small = _sampled_divisible_witness(tail, 1, g2, field, (seed, 1))
-        tail_maps = [_pad_cols(m, g0) for m in small.basis]
+        tail_e = _sampled_divisible_witness(tail, 1, g2, field, (seed, 1))
+        tail_maps = [_pad_cols(m, g0) for m in tail_e.basis]
     tail_maps = [_pad_rows(m, g1, (p - 1) * g0) for m in tail_maps]
-    free_maps: list[Matrix] = []
+    blocks, free_maps = [tail_e], []
     if p > 1:
         free = _sampled_divisible_witness(g0, p - 1, g2, field, (seed, 2))
+        blocks.append(free)
         free_maps = [_pad_rows(m, g1, 0) for m in free.basis]
     out = SubspaceE(setting, tuple(free_maps + tail_maps))
-    if symmetrizer_space(out).dimension != 0:
+    _refuse_over_budget(out)
+    # The zero-padded columns of a tail map add only zero equations, so each
+    # block's restriction to its rows has the symmetrizer space of the block
+    # solved here (a sampled block kept it from its check).
+    cross = _cross_block_system(out, len(free_maps), (p - 1) * g0)
+    if any(symmetrizer_space(block).dimension for block in blocks) or cross.rank() != cross.cols:
         if seed < 16:
             return prop4_construction(setting, seed=seed + 101)
         raise AssertionError(f"construction failed to verify for {setting}")
+    _keep(out, Matrix.zeros(field, 0, out.k * g1), ())
     return out
 
 

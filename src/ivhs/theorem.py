@@ -386,8 +386,9 @@ def _sample_pairs(k: int, count: int, seed) -> np.ndarray:
     """``count`` distinct pairs (a, b), a < b < k, drawn by seed, or all of
     them when there are no more: a count x 2 array in lexicographic order."""
     total = k * (k - 1) // 2
-    picks = np.arange(total)
-    if total > count:
+    if total <= count:
+        picks = np.arange(total)
+    else:
         rng = np.random.default_rng((seed, 0xCA))
         # Python's sort: numpy's runs nowhere else in verify_theorem, and
         # its first call in a process pages in about 0.25 MiB of code.

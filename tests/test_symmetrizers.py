@@ -1,6 +1,7 @@
 """Tests for symmetrizer spaces: system assembly, witness constructions,
 random experiments, and the Hodge-frame bridge."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -364,21 +365,100 @@ class TestRankGate:
         with pytest.raises(AssertionError, match="symmetrizer identity"):
             symmetrizer_space(e)
 
-    @pytest.mark.parametrize("dims", [(2, 4, 1), (3, 6, 2), (2, 5, 1), (3, 5, 1)])
-    def test_prop4_solves_each_subspace_once(self, monkeypatch, dims):
-        solved = []
+    @pytest.mark.parametrize("dims", [(2, 4, 1), (3, 6, 2), (2, 5, 1), (3, 5, 1), (3, 2, 2), (2, 1, 1)])
+    def test_prop4_solves_each_subspace_once(self, monkeypatch, elim_calls, dims):
+        # A solve is a symmetrizer_space call that assembles its own system.
+        entered, solved = [], []
 
-        def spy(e, *args, _orig=symmetrizers.symmetrizer_space, **kwargs):
-            solved.append(e)
-            return _orig(e, *args, **kwargs)
+        def space_spy(e, *args, _orig=symmetrizers.symmetrizer_space, **kwargs):
+            entered.append(e)
+            try:
+                return _orig(e, *args, **kwargs)
+            finally:
+                entered.pop()
 
-        monkeypatch.setattr(symmetrizers, "symmetrizer_space", spy)
-        out = prop4_construction(CompositionSetting(*dims, F), seed=1)
-        # The last subspace solved is the one returned: the divisible witness
-        # itself, or the assembled direct sum.  No basis is solved twice.
-        assert solved[-1] is out
+        def system_spy(e, _orig=symmetrizers.symmetrizer_system):
+            if entered and entered[-1] is e:
+                solved.append(e)
+            return _orig(e)
+
+        monkeypatch.setattr(symmetrizers, "symmetrizer_space", space_spy)
+        monkeypatch.setattr(symmetrizers, "symmetrizer_system", system_spy)
+        setting = CompositionSetting(*dims, F)
+        out = prop4_construction(setting, seed=1)
         bases = {tuple(tuple(m.flatten()) for m in e.basis) for e in solved}
-        assert len(bases) == len(solved)
+        assert len(bases) == len(solved), "a basis was solved twice"
+        if setting.g1 % setting.g0 == 0:
+            assert solved[-1] is out  # the divisible witness is the sampled subspace
+        else:
+            assert all(e is not out for e in solved), "the direct sum was solved whole"
+        solved.clear()
+        elim_calls.clear()
+        assert symmetrizer_dimension(out) == 0
+        assert solved == [] and not elim_calls
+
+    @pytest.mark.parametrize("dims", [(2, 5, 1), (3, 5, 2), (3, 6, 1), (3, 2, 2)])
+    def test_prop4_refuses_the_whole_sum_over_budget(self, monkeypatch, dims):
+        setting = CompositionSetting(*dims, F)
+        witness = prop4_construction(setting)
+        n_unknowns = witness.k * setting.g2 * setting.g1
+        monkeypatch.setenv("IVHS_MAX_UNKNOWNS", str(n_unknowns - 1))
+        message = f"symmetrizer system has {n_unknowns} unknowns, beyond the cap of {n_unknowns - 1} "
+        with pytest.raises(BudgetExceededError, match=message):
+            prop4_construction(setting)
+        # A kept space is refused under the lower cap too.
+        with pytest.raises(BudgetExceededError, match=message):
+            symmetrizer_dimension(witness)
+
+
+def _small_integer_maps(field, rows, cols, k, rng):
+    """k independent rows x cols maps with entries in -2..2, so that over
+    every field some systems are rank deficient."""
+    setting = CompositionSetting(cols, rows, 1, field)
+    while True:
+        arrays = rng.integers(-2, 3, size=(k, rows, cols))
+        try:
+            return SubspaceE(setting, tuple(Matrix.from_rows(field, a.tolist()) for a in arrays))
+        except PreconditionError:
+            continue
+
+
+class TestBlockDecomposition:
+    """dim Sym(E_0 + E_1) = dim Sym(E_0|B_0) + dim Sym(E_1|B_1) + dim ker(cross)
+    when the maps of E_i land in the row block B_i of G^1."""
+
+    @pytest.mark.parametrize("field", GATE_FIELDS, ids=lambda f: f.kind if not f.is_prime_field else str(f.modulus))
+    def test_whole_system_is_the_blocks_plus_the_cross_system(self, field):
+        rng = np.random.default_rng(27)
+        nonzero_sym = nonzero_cross = 0
+        for _ in range(40):
+            g0, r0, r1 = (int(x) for x in rng.integers(1, 4, size=3))
+            k0 = int(rng.integers(1, min(4, g0 * r0) + 1))
+            k1 = int(rng.integers(1, min(4, g0 * r1) + 1))
+            e0 = _small_integer_maps(field, r0, g0, k0, rng)
+            e1 = _small_integer_maps(field, r1, g0, k1, rng)
+            g1 = r0 + r1
+            whole = SubspaceE(CompositionSetting(g0, g1, 1, field), tuple(
+                [Matrix.vstack([m, Matrix.zeros(field, r1, g0)]) for m in e0.basis]
+                + [Matrix.vstack([Matrix.zeros(field, r0, g0), m]) for m in e1.basis]))
+            k = k0 + k1
+            pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+            cross_rows = [t * g0 + j for t, (a, b) in enumerate(pairs) if a < k0 <= b for j in range(g0)]
+            cross_cols = [a * g1 + r for a in range(k) for r in range(g1) if (a < k0) == (r >= r0)]
+            other_rows = sorted(set(range(len(pairs) * g0)) - set(cross_rows))
+            other_cols = sorted(set(range(k * g1)) - set(cross_cols))
+            system = symmetrizer_system(whole)
+            cross = system.row_select(cross_rows).col_select(cross_cols)
+            assert symmetrizers._cross_block_system(whole, k0, r0) == cross
+            # The cross rows and the inner rows share no unknown.
+            assert system.row_select(cross_rows).col_select(other_cols).is_zero()
+            assert system.row_select(other_rows).col_select(cross_cols).is_zero()
+            cross_kernel = cross.cols - cross.rank()
+            dim = symmetrizer_space(whole).dimension
+            assert dim == symmetrizer_space(e0).dimension + symmetrizer_space(e1).dimension + cross_kernel
+            nonzero_sym += dim > 0
+            nonzero_cross += cross_kernel > 0
+        assert nonzero_sym >= 10 and nonzero_cross >= 5, (nonzero_sym, nonzero_cross)
 
 
 class TestVerifyCandidate:
@@ -424,6 +504,34 @@ class TestRankOnePair:
             lemma3_rank_one_construction(1, 1, F)
 
 
+# The first 16 hex digits of the sha256 of each Prop. 4 witness basis on the
+# acceptance-5 grid, as (g0, seed): the digests for g1 = 1..7.  The basis does
+# not depend on g2.
+WITNESS_DIGESTS = {
+    (2, 0): "96e2842b61378b27 3e5cbe6bbface98d bbd34c9223b28cc7 7442769f92ef1573"
+            " eb92b1fc8f9a1ed2 9ff95efa285086e0 19cd3bd856fd417e",
+    (3, 0): "828a6f07b74544ef 7215c08d109d2b01 aade9dbe882e3d65 9cbbe1adc80d1fd3"
+            " ff888aadf9d0d5d8 c17cf979da53da87 902c2e628f870bdf",
+    (4, 0): "e9f806e574598e84 f47a7ac0c8c52a0b 31445e13f5945924 d02a5356fa0d8de8"
+            " 0d2ea04f8cc61ed3 51a80c6b087b1996 2a3b6431a0129838",
+    (5, 0): "9a819e0352bb89c7 d1cf499725c8b466 fc1b016e71daa299 aaaaa941b5a02e4e"
+            " a5ee7dd4598768e4 6409ec036100709a 79455161c666df89",
+    (2, 1): "96e2842b61378b27 3724092e5607a6b7 5bb805fd93934e25 c8686767a8c119f8"
+            " e1bb05053ce4054b 0491ff6fb78d7165 739934d51ac13a46",
+    (3, 1): "828a6f07b74544ef c6edb5a31d821831 dd83b145871d2806 cac932e15b9316bb"
+            " 806c3a49899b6b0d d2b69aa7a68f339a 3d9e2cc3a721cec1",
+    (4, 1): "e9f806e574598e84 90389eb0942430f9 d9735e73a4d8655c e5448781bb5396a6"
+            " a57454c730b48253 bd4ea20ac2dcc683 4caf7ab9ebf1e14b",
+    (5, 1): "9a819e0352bb89c7 79146931384bd5ca 1606429603525232 eaedbf294a80322a"
+            " 919ab0f35a1e39ab 9ddee8df12b686be add9948c7286cdc4",
+}
+
+
+def _basis_digest(e: SubspaceE) -> str:
+    text = repr([[int(x) for x in m.flatten()] for m in e.basis])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 class TestConstruction:
     def test_dimension_formula_on_grid(self):
         for g0 in (2, 3, 4, 5):
@@ -446,7 +554,33 @@ class TestConstruction:
     def test_vanishing_re_verified(self, g0, g1, g2):
         setting = CompositionSetting(g0, g1, g2, F)
         witness = prop4_construction(setting)
-        assert symmetrizer_dimension(witness) == 0
+        # A fresh subspace on the same basis holds no kept space: it is solved.
+        assert symmetrizer_dimension(SubspaceE(witness.setting, witness.basis)) == 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("g0", [2, 3, 4, 5])
+    def test_witness_bases_pinned(self, g0, seed):
+        want = WITNESS_DIGESTS[(g0, seed)].split()
+        for g1 in range(1, 8):
+            for g2 in (1, 2):
+                witness = prop4_construction(CompositionSetting(g0, g1, g2, F), seed=seed)
+                assert _basis_digest(witness) == want[g1 - 1], (g0, g1, g2, seed)
+
+    def test_cross_kernel_forces_the_retry(self, monkeypatch):
+        # One free cross unknown makes Sym(E) nonzero: the construction must
+        # move on to seed + 101, exactly as a whole solve would have.
+        setting = CompositionSetting(3, 5, 1, F)
+        want = prop4_construction(setting, seed=102).basis
+        shapes = []
+
+        def degenerate(e, k0, r0, _orig=symmetrizers._cross_block_system):
+            cross = _orig(e, k0, r0)
+            shapes.append(cross.shape)
+            return cross if len(shapes) > 1 else Matrix.hstack([cross, Matrix.zeros(F, cross.rows, 1)])
+
+        monkeypatch.setattr(symmetrizers, "_cross_block_system", degenerate)
+        assert prop4_construction(setting, seed=1).basis == want
+        assert len(shapes) == 2
 
     def test_deterministic(self):
         setting = CompositionSetting(3, 5, 2, F)

@@ -1,6 +1,8 @@
 """Tests for hypersurface profiles, inequalities, monotonicity, geometric
 frames, and the verify_theorem pipeline."""
 
+import hashlib
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -502,6 +504,24 @@ def test_sample_pairs_are_the_combination_ranks_drawn(k, seed):
         got = theorem._sample_pairs(k, count, seed)
         assert got.shape == (len(want), 2)
         assert [tuple(p) for p in got.tolist()] == want, (k, seed, count)
+
+
+def test_sample_pairs_allocates_only_the_draw():
+    # C(20000, 2) is about 2e8 pairs; only the 60 drawn may be held.  The
+    # digest is the sha256 of the pairs' list form, as drawn before the pair
+    # ranks stopped being enumerated.
+    theorem._sample_pairs(300, 60, 1)  # first-call allocations of numpy's generator
+    tracemalloc.start()
+    try:
+        pairs = theorem._sample_pairs(20000, 60, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, peak
+    assert pairs.shape == (60, 2) and pairs.dtype == np.int64
+    assert pairs[0].tolist() == [157, 17096] and pairs[-1].tolist() == [18243, 19032]
+    digest = hashlib.sha256(repr(pairs.tolist()).encode()).hexdigest()
+    assert digest == "3e6127839e08addbdecc1a8a5ac3ab937bee892e39f9203027087377034d1281"
 
 
 def _reference_maps(ctx):
