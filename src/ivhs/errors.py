@@ -28,32 +28,28 @@ class BudgetExceededError(Exception):
     """
 
 
-def dense_entry_budget() -> int:
-    """Cap on dense matrix entries, overridable via IVHS_BUDGET_ENTRIES."""
-    raw = os.environ.get("IVHS_BUDGET_ENTRIES")
+def _env_budget(name: str, default: int) -> int:
+    """A positive integer cap read from environment variable ``name``."""
+    raw = os.environ.get(name)
     if raw is None:
-        return DEFAULT_DENSE_BUDGET
+        return default
     try:
         val = int(raw)
     except ValueError as exc:
-        raise PreconditionError(f"IVHS_BUDGET_ENTRIES must be an integer, got {raw!r}") from exc
+        raise PreconditionError(f"{name} must be an integer, got {raw!r}") from exc
     if val <= 0:
-        raise PreconditionError("IVHS_BUDGET_ENTRIES must be positive")
+        raise PreconditionError(f"{name} must be positive")
     return val
+
+
+def dense_entry_budget() -> int:
+    """Cap on dense matrix entries, overridable via IVHS_BUDGET_ENTRIES."""
+    return _env_budget("IVHS_BUDGET_ENTRIES", DEFAULT_DENSE_BUDGET)
 
 
 def unknowns_budget() -> int:
     """Cap on linear-system unknowns, overridable via IVHS_MAX_UNKNOWNS."""
-    raw = os.environ.get("IVHS_MAX_UNKNOWNS")
-    if raw is None:
-        return DEFAULT_UNKNOWNS_BUDGET
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise PreconditionError(f"IVHS_MAX_UNKNOWNS must be an integer, got {raw!r}") from exc
-    if val <= 0:
-        raise PreconditionError("IVHS_MAX_UNKNOWNS must be positive")
-    return val
+    return _env_budget("IVHS_MAX_UNKNOWNS", DEFAULT_UNKNOWNS_BUDGET)
 
 
 def check_dense_budget(rows: int, cols: int, *, what: str) -> None:

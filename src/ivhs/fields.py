@@ -106,11 +106,6 @@ class FieldSpec:
             return (a * b) % self.modulus
         return a * b
 
-    def is_zero(self, a: Scalar) -> bool:
-        if self.kind == "prime":
-            return a % self.modulus == 0
-        return a == 0
-
 
 #: Default prime used across the package and the CLI.
 DEFAULT_PRIME = 10007

@@ -16,13 +16,23 @@ weight is odd.  An element is stored by those free slots alone, and the
 transposes above them are made when read.  A Grassmannian chart of
 horizontal k-planes is stored by its base E0, a k-dimensional subspace of
 slot-0 maps; its complement W, the coordinate complement of E0, is derived.
+
+Integrality is a slot identity: horizontal X and Y, with slots X_j = A^(j+1)_j,
+commute iff X_(j+1) Y_j = Y_(j+1) X_j for every j < n // 2.  Proof.  The only
+blocks of [X, Y] are (j+2, j) = X_(j+1) Y_j - Y_(j+1) X_j for j = 0..n-2.  The
+isometries form a Lie algebra, so [X, Y] is one, and by the relations above
+its block (n-j, n-j-2) is plus or minus the transpose of block (j+2, j).  So
+block j pairs with block n-2-j, and the blocks j < n // 2 determine the rest;
+at even n the middle block j = (n-2)/2 pairs with itself and is checked.  A
+candidate's ``verified`` is computed from this identity, never set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Sequence
 
 from .errors import PreconditionError
 from .fields import FieldSpec
@@ -258,7 +268,6 @@ class IntegralElementCandidate:
     shape: HodgeShape
     field: FieldSpec
     basis: tuple[HorizontalElement, ...]
-    verified: bool = False
 
     def __post_init__(self):
         for e in self.basis:
@@ -269,6 +278,16 @@ class IntegralElementCandidate:
     def k(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def integrality(self) -> "IntegralityReport":
+        """``check_integral`` of this candidate, computed once."""
+        return check_integral(self)
+
+    @property
+    def verified(self) -> bool:
+        """Whether the basis pairwise commutes."""
+        return self.integrality.ok
+
 
 @dataclass(frozen=True)
 class IntegralityReport:
@@ -277,20 +296,13 @@ class IntegralityReport:
 
 
 def check_integral(candidate: IntegralElementCandidate) -> IntegralityReport:
-    """Pairwise commutators of the basis; reports the failing index pairs."""
-    failures = []
-    basis = [e.as_block_matrix() for e in candidate.basis]
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            if not commutator(basis[a], basis[b]).is_zero():
-                failures.append((a, b))
-    return IntegralityReport(not failures, tuple(failures))
-
-
-def verified_candidate(candidate: IntegralElementCandidate) -> IntegralElementCandidate:
-    """The same candidate with ``verified`` set per an integrality check."""
-    report = check_integral(candidate)
-    return replace(candidate, verified=report.ok)
+    """The index pairs of the basis that fail to commute, by the slot
+    identity X_(j+1) Y_j = Y_(j+1) X_j for j < n // 2 (module docstring)."""
+    half = candidate.shape.weight // 2
+    slots = [[e.slot(j) for j in range(half + 1)] for e in candidate.basis]
+    pairs = combinations(enumerate(slots), 2)
+    failures = tuple((a, b) for (a, x), (b, y) in pairs if any(x[j + 1] @ y[j] != y[j + 1] @ x[j] for j in range(half)))
+    return IntegralityReport(not failures, failures)
 
 
 def project(candidate: IntegralElementCandidate, i: int) -> Subspace:
@@ -342,10 +354,9 @@ def build_transpose_element(
     zeros = [Matrix.zeros(field, *shape.slot_shape(j)) for j in range(1, shape.free_slot_count)]
     elements = [HorizontalElement(shape, field, [alpha, *zeros]) for alpha in mats]
     candidate = IntegralElementCandidate(shape, field, tuple(elements))
-    report = check_integral(candidate)
-    if not report.ok:
+    if not candidate.verified:
         raise PreconditionError("transpose lifts fail to commute")
-    return replace(candidate, verified=True)
+    return candidate
 
 
 # ---------------------------------------------------------------------------

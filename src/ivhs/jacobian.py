@@ -1,18 +1,18 @@
 """Graded pieces of Jacobian rings R = S / (df/dx_0, ..., df/dx_{N-1}).
 
-Each graded piece is presented by its standard monomials (non-pivot columns
-of the row-reduced ideal piece) and its normal form, a ``linalg.QuotientMap``
-from the ambient monomials onto the classes, which alone knows how classes
-are encoded.  Products with classes are applied by its scatter: the
-multiplication maps, and the products q(g) alpha(g') of the canonical
-symmetrizer check, are sums of (monomial, column, coefficient) triplets, and
-classes(cols) is built only where a class matrix is needed.  Monomial
-ideals (Fermat fixtures) take a combinatorial path: the ideal piece is
-spanned by distinct monomials, so ranks are set counts and pivot monomials
-have class zero, and the class of a product of monomials is 0 or a unit
-vector, so the injectivity of a multiplication action is a count of
-supports, with no matrix built.  Everything else goes through exact dense
-elimination, guarded by the entry budget.
+Each graded piece is its ambient monomials and its normal form, a
+``linalg.QuotientMap`` onto the classes, which alone knows how classes are
+encoded; the standard monomials are its free (non-pivot) columns, and the
+rest of the piece is read from those two.  Products with classes are applied
+by its scatter: the multiplication maps, and the products q(g) alpha(g') of
+the canonical symmetrizer check, are sums of (monomial, column, coefficient)
+triplets, and classes(cols) is built only where a class matrix is needed.
+Monomial ideals (Fermat fixtures) take a combinatorial path: the ideal piece
+is spanned by distinct monomials, so its pivots are one mask over the ambient
+monomials, pivot monomials have class zero, and the class of a product of
+monomials is 0 or a unit vector, so the injectivity of a multiplication
+action is a count of supports, with no matrix built.  Everything else goes
+through exact dense elimination, guarded by the entry budget.
 
 f is smooth exactly when the partials have no common zero, that is when
 R = S/J is Artinian, which the single piece R^(sigma+1) = 0 decides for
@@ -39,6 +39,7 @@ those relations (``koszul_matrix``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +52,6 @@ from .polyring import (
     MonomialBasis,
     basis,
     graded_dimension,
-    multiply,
     partial_derivative,
 )
 
@@ -113,24 +113,24 @@ class JacobianContext:
             check_dense_budget(rows, graded_dimension(self.num_vars, m), what=f"ideal piece in degree {m}")
         amb = basis(self.num_vars, m)
         if src_deg < 0:
-            return _piece_from_pivots(self.field, m, amb, [], None)
-        if method == "monomial":
+            quotient = QuotientMap.of_rref(self.field, amb.dim, (), None)
+        elif method == "monomial":
             if not self.has_monomial_ideal:
                 raise PreconditionError("generators are not all monomials")
-            return self._build_piece_monomial(m, amb, src_deg)
-        return self._build_piece_dense(m, amb)
+            quotient = self._monomial_quotient(amb, src_deg)
+        else:
+            rref, pivots = self._ideal_matrix(amb).rref()
+            quotient = QuotientMap.of_rref(self.field, amb.dim, pivots, rref)
+        return GradedQuotientPiece(m, amb, quotient)
 
-    def _build_piece_monomial(self, m: int, amb: MonomialBasis, src_deg: int) -> "GradedQuotientPiece":
+    def _monomial_quotient(self, amb: MonomialBasis, src_deg: int) -> QuotientMap:
         src = basis(self.num_vars, src_deg)
         terms = [t for g in self.generators for t, _ in g.terms()]
         # Distinct monomials span the ideal piece: their columns are the
         # pivots, and the reduced rows are unit vectors.
-        pivots = sorted(set(amb.sum_index(src.exponents, terms).ravel().tolist()))
-        return _piece_from_pivots(self.field, m, amb, pivots, None)
-
-    def _build_piece_dense(self, m: int, amb: MonomialBasis) -> "GradedQuotientPiece":
-        rref, pivots = self._ideal_matrix(amb).rref()
-        return _piece_from_pivots(self.field, m, amb, pivots, rref)
+        mask = np.zeros(amb.dim, dtype=bool)
+        mask[amb.sum_index(src.exponents, terms)] = True
+        return QuotientMap.of_rref(self.field, amb.dim, mask.nonzero()[0], None)
 
     def _ideal_matrix(self, amb: MonomialBasis) -> Matrix:
         """The ideal piece in the degree of ``amb``, at least d - 1: one row
@@ -146,32 +146,32 @@ class JacobianContext:
         return Matrix(self.field, arr.reshape(-1, amb.dim))
 
 
-def _piece_from_pivots(
-    fld: FieldSpec, m: int, amb: MonomialBasis, pivots: Sequence[int], rref: Matrix | None
-) -> "GradedQuotientPiece":
-    """The quotient piece of an ideal piece with the given pivot columns and
-    reduced rows ``rref`` (None: unit rows)."""
-    free = np.delete(np.arange(amb.dim), list(pivots))
-    quotient = QuotientMap.of_rref(fld, amb.dim, pivots, rref)
-    return GradedQuotientPiece(fld, m, amb, len(pivots), amb.exponents[free], quotient)
-
-
 @dataclass(frozen=True, eq=False)
 class GradedQuotientPiece:
-    """Degree-m piece of the quotient ring in standard-monomial coordinates."""
+    """Degree-m piece of the quotient ring in standard-monomial coordinates,
+    held by its ambient monomials and the quotient map onto their classes."""
 
-    field: FieldSpec
     degree: int
     ambient: MonomialBasis
-    ideal_rank: int
-    # The standard monomials, one exponent row each in ambient order.
-    standard_exponents: np.ndarray = dc_field(repr=False)
     # Ambient monomials onto standard-monomial coordinates.
     quotient: QuotientMap = dc_field(repr=False)
 
     @property
+    def field(self) -> FieldSpec:
+        return self.quotient.field
+
+    @property
     def dim(self) -> int:
-        return self.standard_exponents.shape[0]
+        return self.quotient.dim
+
+    @property
+    def ideal_rank(self) -> int:
+        return self.ambient.dim - self.dim
+
+    @cached_property
+    def standard_exponents(self) -> np.ndarray:
+        """The standard monomials, one exponent row each in ambient order."""
+        return self.ambient.exponents[self.quotient.free]
 
     def classes(self, cols) -> Matrix:
         """dim x len(cols): column c is the class of ambient monomial cols[c]."""

@@ -762,7 +762,7 @@ class Subspace:
 
 class QuotientMap:
     """F^n -> F^n / rowspace(R) for the rank rows R of an RREF, in the
-    coordinates of the non-pivot (free) columns.
+    coordinates of the non-pivot columns ``free`` (increasing, read-only).
 
     The class of e_j is column ``_at[j]`` of [I | ``_reduced``], I the
     dim x dim identity, which is never built, and zero where ``_at[j]`` is
@@ -772,13 +772,14 @@ class QuotientMap:
     ``nonzero`` look at that encoding.
     """
 
-    __slots__ = ("field", "dim", "_at", "_reduced")
+    __slots__ = ("field", "dim", "free", "_at", "_reduced")
 
-    def __init__(self, field: FieldSpec, at: np.ndarray, reduced: np.ndarray):
-        at.flags.writeable = False
-        reduced.flags.writeable = False
+    def __init__(self, field: FieldSpec, free: np.ndarray, at: np.ndarray, reduced: np.ndarray):
+        for arr in (free, at, reduced):
+            arr.flags.writeable = False
         self.field = field
-        self.dim = reduced.shape[0]
+        self.dim = free.size
+        self.free = free
         self._at = at
         self._reduced = reduced
 
@@ -791,9 +792,9 @@ class QuotientMap:
         at = np.full(n, -1, dtype=np.intp)
         at[free] = np.arange(free.size)
         if rref is None:
-            return QuotientMap(field, at, _zeros(field, (free.size, 0)))
+            return QuotientMap(field, free, at, _zeros(field, (free.size, 0)))
         at[pivots] = free.size + np.arange(pivots.size)
-        return QuotientMap(field, at, (-rref.col_select(free)).transpose()._a)
+        return QuotientMap(field, free, at, (-rref.col_select(free)).transpose()._a)
 
     def classes(self, cols) -> Matrix:
         """dim x len(cols): column c is the class of e_{cols[c]}."""

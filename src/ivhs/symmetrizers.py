@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError, unknowns_budget
 from .fields import FieldSpec, default_prime_field
-from .hodge import HodgeShape, IntegralElementCandidate, check_integral, project, theta_inverse, ChartData
+from .hodge import HodgeShape, IntegralElementCandidate, project, theta_inverse, ChartData
 from .linalg import Matrix, QuotientMap, Subspace, random_matrix
 
 
@@ -187,11 +187,12 @@ def symmetrizer_space(e: SubspaceE) -> SymmetrizerSpace:
     if system.rows >= n and system.rank() == n:
         return _keep(e, Matrix.zeros(s.field, 0, n), ())
     r, pivots = system.rref()
-    kernel = QuotientMap.of_rref(s.field, n, pivots, r).classes(range(n))  # one row of q per row
+    quotient = QuotientMap.of_rref(s.field, n, pivots, r)
+    kernel = quotient.classes(range(n))  # one row of q per free unknown
     q_values = [kernel.col_select(range(a * s.g1, (a + 1) * s.g1)) for a in range(e.k)]
     if not verify_candidate_symmetrizer(list(e.basis), q_values).holds:
         raise AssertionError("kernel fails the symmetrizer identity")
-    return _keep(e, kernel, tuple(np.delete(np.arange(n), pivots).tolist()))
+    return _keep(e, kernel, tuple(quotient.free.tolist()))
 
 
 def symmetrizer_dimension(e: SubspaceE) -> int:
@@ -462,11 +463,9 @@ def fiber_forward_check(candidate: IntegralElementCandidate, chart: ChartData | 
     if shape.weight < 3:
         raise PreconditionError("fiber check needs weight >= 3")
     if not candidate.verified:
-        report = check_integral(candidate)
-        if not report.ok:
-            raise PreconditionError(
-                f"candidate is not an integral element: pairs {report.failing_pairs} do not commute"
-            )
+        raise PreconditionError(
+            f"candidate is not an integral element: pairs {candidate.integrality.failing_pairs} do not commute"
+        )
     if chart is None:
         e0 = project(candidate, 0)
         if e0.dim != candidate.k:

@@ -30,7 +30,7 @@ variation data.  This module has three layers:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 from typing import Sequence
@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError, SingularInputError
-from .hodge import HodgeShape, HorizontalElement, IntegralElementCandidate, check_integral
+from .hodge import HodgeShape, HorizontalElement, IntegralElementCandidate
 from .jacobian import (
     JacobianContext,
     macaulay_injectivity_check,
@@ -287,10 +287,9 @@ def ring_frame_candidate(
         free[r] = pairings[0] @ free[r]  # R^(deg r) paired with R^(deg r+1)
         elements.append(HorizontalElement(shape, ctx.field, free))
     candidate = IntegralElementCandidate(shape, ctx.field, tuple(elements))
-    report = check_integral(candidate)
-    if not report.ok:
+    if not candidate.verified:
         raise AssertionError("multiplication maps fail to commute after adaptation")
-    return replace(candidate, verified=True)
+    return candidate
 
 
 def hypersurface_hodge_shape(ctx: JacobianContext) -> HodgeShape:

@@ -1,10 +1,12 @@
 """Tests for Hodge-frame block matrices, horizontal elements, and charts."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from ivhs.errors import PreconditionError
-from ivhs.fields import FieldSpec, default_prime_field
+from ivhs.fields import QQ, FieldSpec, default_prime_field
 from ivhs.hodge import (
     BlockMatrix,
     ChartData,
@@ -20,7 +22,6 @@ from ivhs.hodge import (
     project,
     theta,
     theta_inverse,
-    verified_candidate,
 )
 from ivhs.linalg import Matrix, Subspace, random_matrix, standard_complement
 
@@ -357,6 +358,25 @@ class TestCommutators:
         assert c == manual
 
 
+def sparse_horizontal(shape, field, rng, density=0.3):
+    """A horizontal element with 0/1 free slots (the odd-weight middle slot
+    symmetrized): sparse enough that pairs often commute, over any field."""
+    free = []
+    for j in range(shape.free_slot_count):
+        h_to, h_from = shape.slot_shape(j)
+        m = Matrix.from_rows(field, (rng.random((h_to, h_from)) < density).astype(int).tolist(), cols=h_from)
+        if shape.weight % 2 == 1 and j == shape.free_slot_count - 1:
+            m = m + m.transpose()
+        free.append(m)
+    return HorizontalElement(shape, field, free)
+
+
+def symmetric_shape(weight, rng):
+    """A weight-``weight`` shape with h_q == h_(n-q), each in 1..3."""
+    low = [int(h) for h in rng.integers(1, 4, size=weight // 2 + 1)]
+    return HodgeShape(weight, tuple(low + low[: (weight + 1) // 2][::-1]))
+
+
 class TestIntegrality:
     def test_check_and_verify(self):
         s = rect_shape(3, (2, 3, 3, 2))
@@ -365,10 +385,36 @@ class TestIntegrality:
         e2 = random_horizontal(s, F, rng)
         cand = IntegralElementCandidate(s, F, (e1, e2))
         report = check_integral(cand)
-        if not report.ok:
-            assert report.failing_pairs == ((0, 1),)
-        flagged = verified_candidate(cand)
-        assert flagged.verified == report.ok
+        assert report.failing_pairs == ((0, 1),)
+        assert cand.verified == report.ok
+        assert cand.integrality == report
+
+    @pytest.mark.parametrize(
+        "field",
+        [FieldSpec.prime(10007), FieldSpec.prime(2147483629), QQ],
+        ids=["p10007", "p2147483629", "QQ"],
+    )
+    def test_slot_identity_matches_block_commutator(self, field):
+        # check_integral compares X_(j+1) Y_j with Y_(j+1) X_j for j < n // 2
+        # only; the full block commutator is the reference.
+        rng = np.random.default_rng(53)
+        commutes = {weight: set() for weight in range(1, 7)}
+        for weight in range(1, 7):
+            for trial in range(16):
+                s = symmetric_shape(weight, rng)
+                basis = tuple(sparse_horizontal(s, field, rng) for _ in range(2 + trial % 2))
+                blocks = [e.as_block_matrix() for e in basis]
+                want = tuple(
+                    (a, b)
+                    for a, b in combinations(range(len(basis)), 2)
+                    if not commutator(blocks[a], blocks[b]).is_zero()
+                )
+                cand = IntegralElementCandidate(s, field, basis)
+                assert check_integral(cand).failing_pairs == want
+                assert cand.verified == (want == ())
+                commutes[weight] |= {pair not in want for pair in combinations(range(len(basis)), 2)}
+        assert commutes[1] == {True}  # no degree-2 block exists at weight 1
+        assert all(commutes[weight] == {True, False} for weight in range(2, 7))
 
     def test_transpose_lift_round_trip(self):
         s = rect_shape(3, (2, 4, 4, 2))

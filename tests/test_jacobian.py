@@ -86,13 +86,21 @@ def test_regular_sequence_identity(sextic):
 
 
 def test_monomial_and_dense_paths_agree(sextic):
-    for m in (5, 6, 7, 8):
-        pm = sextic.piece(m, method="monomial")
-        pd = sextic.piece(m, method="dense")
-        assert pm.ideal_rank == pd.ideal_rank
-        assert np.array_equal(pm.standard_exponents, pd.standard_exponents)
-        every = range(pm.ambient.dim)
-        assert pm.classes(every) == pd.classes(every)
+    # The sextic's middle degrees, and every degree from d - 1 to sigma + 1
+    # of two smaller Fermat rings (up to a 2475 x 1365 dense ideal piece).
+    fixtures = [(sextic, range(5, 9))]
+    for ctx in (JacobianContext.fermat(2, 5), JacobianContext.fermat(3, 4)):
+        fixtures.append((ctx, range(ctx.d - 1, ctx.socle_degree + 2)))
+    for ctx, degrees in fixtures:
+        for m in degrees:
+            pm = ctx.piece(m, method="monomial")
+            pd = ctx.piece(m, method="dense")
+            assert (pm.dim, pm.ideal_rank) == (pd.dim, pd.ideal_rank)
+            assert pm.dim + pm.ideal_rank == pm.ambient.dim
+            assert pm.standard_exponents.dtype == pd.standard_exponents.dtype == pm.ambient.exponents.dtype
+            assert np.array_equal(pm.standard_exponents, pd.standard_exponents)
+            every = range(pm.ambient.dim)
+            assert pm.classes(every) == pd.classes(every)
 
 
 def test_fermat_sextic_quotient_dimensions(sextic):

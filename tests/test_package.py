@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -34,3 +35,19 @@ def test_exports_resolve_and_are_listed():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert public == set(ivhs.__all__)
+
+
+def test_every_import_is_used():
+    # A name a module imports but never reads is dead code.  A name counts as
+    # read when it appears as a name, or as a whole string (``__all__``
+    # entries and quoted annotations).
+    unused = []
+    for path in sorted(Path(ivhs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                names = [(a.asname or a.name).split(".")[0] for a in node.names]
+                unused += [f"{path.name}: {name}" for name in names if name not in used]
+    assert unused == []

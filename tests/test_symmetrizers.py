@@ -308,6 +308,18 @@ class TestRankGate:
         assert dim == naive_symmetrizer_dimension(e)
         assert dim == want if want is not None else dim > 0
 
+    @pytest.mark.parametrize("field", GATE_FIELDS, ids=lambda f: f.kind if not f.is_prime_field else str(f.modulus))
+    def test_free_unknowns_are_the_non_pivot_columns(self, field):
+        e = integer_subspace_e(CompositionSetting(3, 2, 2, field), 3, 2, "hyperplane")
+        system = symmetrizer_system(e)
+        _, pivots = system.rref()
+        space = symmetrizer_space(e)
+        assert space.kernel.rows > 0
+        assert space.free == tuple(np.delete(np.arange(system.cols), pivots).tolist())
+        # Kernel row j is the solution with free unknown free[j] = 1 and the
+        # other free unknowns zero.
+        assert space.kernel.col_select(space.free) == Matrix.identity(field, len(space.free))
+
     @pytest.fixture
     def elim_calls(self, monkeypatch):
         calls = Counter()
@@ -696,16 +708,45 @@ class TestHodgeBridge:
         with pytest.raises(PreconditionError):
             fiber_forward_check(cand, chart)
 
-    def test_verified_flag_skips_recheck(self):
+    @pytest.fixture
+    def integrality_calls(self, monkeypatch):
+        """The candidates ``hodge.check_integral`` is called on, in order."""
+        import ivhs.hodge as hodge
+
+        calls = []
+        real = hodge.check_integral
+        monkeypatch.setattr(hodge, "check_integral", lambda c: calls.append(c) or real(c))
+        return calls
+
+    def test_verified_flag_skips_recheck(self, integrality_calls):
+        # The lift checks integrality once and caches it as ``verified``; the
+        # fiber check reads the cache.
         rows = [random_matrix(F, 3, 2, (89, i)).flatten() for i in range(2)]
         e0 = Subspace.from_rows(F, rows, ambient_dimension=6)
         cand = build_transpose_element(e0, WEIGHT3, F)
         assert cand.verified
         assert fiber_forward_check(cand).holds
+        assert integrality_calls == [cand]
+
+    def test_set_flag_cannot_hide_non_integral_candidate(self, integrality_calls):
+        # x and y are horizontal but x_1 y_0 != y_1 x_0, so pair (0, 1) fails.
+        # ``verified`` is computed and cannot be passed in, so no caller can
+        # mark this candidate integral and get it past the fiber check.
+        shape = HodgeShape(5, (1, 2, 2, 2, 2, 1))
+        m = lambda rows: Matrix.from_rows(F, rows)
+        x = HorizontalElement(shape, F, [m([[1], [0]]), m([[0, 1], [0, 0]]), Matrix.identity(F, 2)])
+        y = HorizontalElement(shape, F, [m([[0], [1]]), m([[1, 0], [0, 0]]), Matrix.zeros(F, 2, 2)])
+        with pytest.raises(TypeError):
+            IntegralElementCandidate(shape, F, (x, y), verified=True)
+        cand = IntegralElementCandidate(shape, F, (x, y))
+        with pytest.raises(PreconditionError, match=r"pairs \(\(0, 1\),\) do not commute"):
+            fiber_forward_check(cand)
+        assert not cand.verified
+        assert integrality_calls == [cand]
 
     def test_weight_two_fiber_rejected(self):
         shape = HodgeShape(2, (1, 2, 1))
         zero = HorizontalElement(shape, F, [Matrix.zeros(F, 2, 1)])
-        cand = IntegralElementCandidate(shape, F, (zero,), verified=True)
+        cand = IntegralElementCandidate(shape, F, (zero,))
         with pytest.raises(PreconditionError):
             fiber_forward_check(cand)
