@@ -2,7 +2,19 @@
 
 Everything here is exact.  Rational matrices are numpy object arrays of
 Fractions.  Prime-field matrices are numpy int64 arrays with entries in
-[0, p); one panel-blocked Gauss-Jordan core eliminates them in float64
+[0, p).
+
+Small matrices, and every matrix over Q, are eliminated on Python scalars
+by ``_scalar_echelon``: Gauss(-Jordan) in place on row lists of ints in
+[0, p) or of Fractions.  A row update loops only over the pivot row's
+nonzero entries at or right of the pivot, so a sparse row costs its
+nonzeros.  Over F_p it takes every matrix of at most ``_SCALAR_ENTRIES``
+entries, the small Schur complements of the structural stage included: a
+pivot step of the numpy core below costs about 12 us of calls however small
+the matrix, an entry that a Python row update touches about 0.1 us.  Rank
+eliminates the shorter side and runs forward only; RREF runs Gauss-Jordan.
+
+Larger F_p matrices go to one panel-blocked Gauss-Jordan core in float64
 (BLAS) or int64, with a panel width chosen so that panel * (p-1)^2 < 2^53
 or < 2^62.  The core holds its copy of the matrix transposed, so that a
 column is contiguous: a pivot step reduces its column and its row within
@@ -23,9 +35,10 @@ The split is taken only when its pivots number at least
 ``_PIVOTS_PER_LEVEL`` per dependency level, counting two more levels for
 the stage's fixed cost; then the same stage runs again on the complement,
 round after round, and the first complement whose split does not pay goes
-to the core.  Since the RREF over F_p is unique, the result is
-bit-identical to eliminating the whole matrix.  The stage's products are
-exact too: each goes through ``_fp_matmul``, whose float64 path needs
+to the core; a complement small enough for the scalar path goes there.
+Since the RREF over F_p is unique, the result is bit-identical to
+eliminating the whole matrix.  The stage's products are exact too: each
+goes through ``_fp_matmul``, whose float64 path needs
 inner * (p-1)^2 + p < 2^53 and whose int64 path splits the inner dimension
 below 2^62, or applies the entries of a sparse factor one at a time,
 reducing every product mod p before a row's terms are summed in int64,
@@ -59,6 +72,13 @@ _INT_SAFE = 2**62
 # picking the faster path; 3 pivots per level with one extra level came
 # within 2.5%, and the ratio alone within 4.8% (4) or 7.4% (3).
 _PIVOTS_PER_LEVEL = 2
+# F_p matrices of at most this many entries are eliminated on Python scalars
+# (``_scalar_echelon``), larger ones by the structural stage and the numpy
+# core.  A cost constant like ``_PIVOTS_PER_LEVEL``: the numpy core pays about
+# 12 us of calls per pivot step, a Python row update about 0.1 us per entry it
+# touches.  Timed on the eliminations of the symm-grid workload, 1024 was the
+# fastest of the powers of two from 256 to 4096.
+_SCALAR_ENTRIES = 1024
 # Most entries a sparse product holds at once.
 _ENTRY_CHUNK = 2**22
 
@@ -299,8 +319,21 @@ def _block(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _inverses(x: np.ndarray, p: int) -> np.ndarray:
-    """x^(p-2) mod p, the inverses of an int64 array with entries in [1, p)."""
-    return np.array([pow(v, p - 2, p) for v in x.tolist()], dtype=np.int64)
+    """x^(p-2) mod p, the inverses of an int64 array with entries in [1, p),
+    by repeated squaring on the whole array.  Every product is of two
+    entries in [0, p), below (p-1)^2 < 2^62 for p < 2^31: exact in int64."""
+    out = np.ones_like(x)
+    base = x.copy()
+    e = p - 2
+    while e:
+        if e & 1:
+            out *= base
+            out %= p
+        e >>= 1
+        if e:
+            base *= base
+            base %= p
+    return out
 
 
 def _levels(dep: np.ndarray):
@@ -374,8 +407,8 @@ def _structural_stage(a: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
 
 
 def _fp_rank(arr: np.ndarray, p: int) -> int:
-    if arr.size == 0:
-        return 0
+    if arr.size <= _SCALAR_ENTRIES:
+        return _scalar_rank(arr, p)
     lcols, _, _, c = _structural_stage(arr, p)
     if lcols.size:
         return lcols.size + _fp_rank(c, p)
@@ -399,8 +432,8 @@ def _rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     the whole matrix.
     """
     n = arr.shape[1]
-    if arr.size == 0:
-        return np.zeros((0, n), dtype=np.int64), []
+    if arr.size <= _SCALAR_ENTRIES:
+        return _scalar_rref(arr, p)
     lcols, ncols, b, c = _structural_stage(arr, p)
     if not lcols.size:
         return _dense_rref(c, p)
@@ -427,32 +460,76 @@ def _rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# rational kernels (Fraction / bigint)
+# scalar elimination (Python ints mod p, or Fractions)
 # ---------------------------------------------------------------------------
 
 
-def _q_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over Q of an object array of Fractions, its
-    rank rows only."""
-    a = a.copy()
-    m, n = a.shape
+def _scalar_echelon(rows: list[list], n: int, p: int | None, reduced: bool) -> list[int]:
+    """Gauss(-Jordan) elimination in place on ``rows``, lists of n Python
+    scalars: ints in [0, p), or Fractions when ``p`` is None.  Returns the
+    pivot columns.
+
+    Afterwards rows 0..r-1 have unit pivots at the returned columns and the
+    rows below are zero.  Each pivot clears its column from the rows below
+    it, and also from the rows above it when ``reduced``, which leaves the
+    RREF.  A row update loops only over the pivot row's nonzero entries,
+    which lie at or right of the pivot.
+    """
+    m = len(rows)
     pivots: list[int] = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        nz = (a[r:, c] != 0).nonzero()[0]
-        if nz.size == 0:
+        for k in range(r, m):
+            if rows[k][c]:
+                break
+        else:
             continue
-        piv = r + int(nz[0])
-        a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] / a[r, c]
-        others = (a[:, c] != 0).nonzero()[0]
-        others = others[others != r]
-        a[others] -= np.outer(a[others, c], a[r])
+        row = rows[k]
+        rows[k], rows[r] = rows[r], row
+        if p:
+            inv = pow(row[c], -1, p)
+            terms = [(j, x * inv % p) for j, x in enumerate(row[c:], c) if x]
+        else:
+            inv = 1 / row[c]
+            terms = [(j, x * inv) for j, x in enumerate(row[c:], c) if x]
+        for j, x in terms:
+            row[j] = x
+        for i in range(0 if reduced else r + 1, m):
+            other = rows[i]
+            f = other[c]
+            if f and i != r:
+                if p:
+                    for j, x in terms:
+                        other[j] = (other[j] - f * x) % p
+                else:
+                    for j, x in terms:
+                        other[j] -= f * x
         pivots.append(c)
         r += 1
-    return a[:r], pivots
+    return pivots
+
+
+def _scalar_rank(arr: np.ndarray, p: int | None) -> int:
+    """Rank of an int64 array mod p, or of Fractions when ``p`` is None:
+    forward elimination of its shorter side."""
+    work = arr.T if arr.shape[0] > arr.shape[1] else arr
+    return len(_scalar_echelon(work.tolist(), work.shape[1], p, False))
+
+
+def _scalar_rref(arr: np.ndarray, p: int | None) -> tuple[np.ndarray, list[int]]:
+    """``_fp_rref`` on Python scalars, or the RREF over Q when ``p`` is None;
+    the rows keep the input's dtype."""
+    rows = arr.tolist()
+    pivots = _scalar_echelon(rows, arr.shape[1], p, True)
+    r = len(pivots)
+    return np.array(rows[:r], dtype=arr.dtype).reshape(r, arr.shape[1]), pivots
+
+
+# ---------------------------------------------------------------------------
+# rational products (Fraction / bigint)
+# ---------------------------------------------------------------------------
 
 
 def _q_integral(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -491,10 +568,10 @@ class Matrix:
     both fields.  Only these look at the field: ``_reduced`` (the
     mod-p reduction after +, -, negation and scaling),
     ``_zeros``, the product (``_fp_matmul`` or ``_q_matmul``) and
-    elimination (the F_p kernels or ``_q_rref``); ``array`` and
-    ``from_array`` exist over F_p only.  Elimination is deterministic
-    (first nonzero pivot), so rref, pivot columns, and kernel bases are
-    canonical for given input.  Classes modulo a row space, gathered or
+    elimination (the F_p kernels, or ``_scalar_echelon`` over Q);
+    ``array`` and ``from_array`` exist over F_p only.  Elimination is
+    deterministic (first nonzero pivot), so rref, pivot columns, and kernel
+    bases are canonical for given input.  Classes modulo a row space, gathered or
     scattered, belong to ``QuotientMap``.
     """
 
@@ -660,7 +737,7 @@ class Matrix:
     def rank(self) -> int:
         if self.field.is_prime_field:
             return _fp_rank(self._a, self.field.modulus)
-        return len(_q_rref(self._a)[1])
+        return _scalar_rank(self._a, None)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form without its zero rows, and its pivot
@@ -668,7 +745,7 @@ class Matrix:
         if self.field.is_prime_field:
             r, pivots = _fp_rref(self._a, self.field.modulus)
         else:
-            r, pivots = _q_rref(self._a)
+            r, pivots = _scalar_rref(self._a, None)
         return Matrix(self.field, r), tuple(pivots)
 
     def kernel_basis(self) -> "Matrix":

@@ -341,9 +341,6 @@ SOCLE_FIXTURES = {
     "singular-quadric": _poly_fixture("x0^2+2*x0*x1+x1^2+x2^2", 3),
 }
 SMOOTH = {"fermat(2,4)", "fermat(3,3)", "fermat(3,5)", "cubic-surface", "quartic-surface", "smooth-quadric"}
-# Over Q the degree-9 ideal piece of a quartic surface (336 x 220), and the
-# degree-6 one of a cubic threefold, are too slow for Fraction elimination.
-SLOW_OVER_Q = {"quartic-surface", "nodal-quartic-surface", "seed-913-quartic", "nodal-cubic-threefold"}
 
 
 @pytest.mark.parametrize(
@@ -352,7 +349,6 @@ SLOW_OVER_Q = {"quartic-surface", "nodal-quartic-surface", "seed-913-quartic", "
         pytest.param(name, f.values[0], id=f"{name}-{f.id}")
         for name in SOCLE_FIXTURES
         for f in FIELD_PARAMS
-        if not (name in SLOW_OVER_Q and f.id == "QQ")
     ],
 )
 def test_socle_check_matches_two_piece_definition(name, field):
@@ -405,7 +401,6 @@ KOSZUL_FIXTURES = [
         pytest.param(name, f.values[0], id=f"{name}-{f.id}")
         for name in KOSZUL_FIXTURES
         for f in FIELD_PARAMS
-        if not (name in SLOW_OVER_Q and f.id == "QQ")
     ],
 )
 def test_koszul_rank_gives_the_next_piece(name, field):

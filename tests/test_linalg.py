@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivhs import linalg
@@ -20,10 +20,20 @@ from ivhs.linalg import (
     standard_complement,
 )
 
-from oracle import naive_kernel_mod, naive_rank_fraction, naive_rank_mod, naive_rref_mod
+from oracle import naive_kernel_mod, naive_rank_fraction, naive_rank_mod, naive_rref_fraction, naive_rref_mod
 
 FP = default_prime_field()
 P = FP.modulus
+
+
+def _each_path(mp):
+    """Yield twice: on the default path, where F_p matrices of at most
+    ``_SCALAR_ENTRIES`` entries take the scalar elimination, then with every
+    F_p matrix sent to the structural stage and the numpy core.  Q always
+    takes the scalar elimination."""
+    yield "default"
+    mp.setattr(linalg, "_SCALAR_ENTRIES", 0)
+    yield "numpy"
 
 
 def _assert_rank_rows(ref, pivots, oracle_ref):
@@ -33,26 +43,29 @@ def _assert_rank_rows(ref, pivots, oracle_ref):
     assert all(x == 0 for row in oracle_ref[r:] for x in row)
 
 
-def test_identity_rank():
-    assert Matrix.identity(FP, 7).rank() == 7
-    assert Matrix.identity(QQ, 7).rank() == 7
+def test_identity_rank(monkeypatch):
+    for _ in _each_path(monkeypatch):
+        assert Matrix.identity(FP, 7).rank() == 7
+        assert Matrix.identity(QQ, 7).rank() == 7
 
 
-def test_zero_matrix_rank_and_kernel():
-    z = Matrix.zeros(FP, 3, 5)
-    assert z.rank() == 0
-    k = z.kernel_basis()
-    assert k.shape == (5, 5)
-    z = Matrix.zeros(QQ, 3, 5)
-    assert z.rank() == 0
-    assert z.kernel_basis().shape == (5, 5)
+def test_zero_matrix_rank_and_kernel(monkeypatch):
+    for _ in _each_path(monkeypatch):
+        z = Matrix.zeros(FP, 3, 5)
+        assert z.rank() == 0
+        k = z.kernel_basis()
+        assert k.shape == (5, 5)
+        z = Matrix.zeros(QQ, 3, 5)
+        assert z.rank() == 0
+        assert z.kernel_basis().shape == (5, 5)
 
 
-def test_proportional_rows_rank_one():
-    m = Matrix.from_rows(QQ, [[2, 4], [1, 2]])
-    assert m.rank() == 1
-    m = Matrix.from_rows(FP, [[2, 4], [1, 2]])
-    assert m.rank() == 1
+def test_proportional_rows_rank_one(monkeypatch):
+    for _ in _each_path(monkeypatch):
+        m = Matrix.from_rows(QQ, [[2, 4], [1, 2]])
+        assert m.rank() == 1
+        m = Matrix.from_rows(FP, [[2, 4], [1, 2]])
+        assert m.rank() == 1
 
 
 def test_rref_of_proportional_rows():
@@ -71,17 +84,19 @@ def test_kernel_of_ones_row():
     assert not k.is_zero()
 
 
-def test_kernel_columns_annihilated():
-    for field in (FP, QQ):
-        m = Matrix.from_rows(field, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-        k = m.kernel_basis()
-        assert (m @ k).is_zero()
-        assert k.cols == 3 - m.rank()
+def test_kernel_columns_annihilated(monkeypatch):
+    for _ in _each_path(monkeypatch):
+        for field in (FP, QQ):
+            m = Matrix.from_rows(field, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+            k = m.kernel_basis()
+            assert (m @ k).is_zero()
+            assert k.cols == 3 - m.rank()
 
 
-def test_rank_nullity_fixed_cases():
-    m = Matrix.from_rows(FP, [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]])
-    assert m.rank() + m.kernel_basis().cols == 4
+def test_rank_nullity_fixed_cases(monkeypatch):
+    for _ in _each_path(monkeypatch):
+        m = Matrix.from_rows(FP, [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]])
+        assert m.rank() + m.kernel_basis().cols == 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,9 +107,11 @@ def test_rank_nullity_fixed_cases():
 )
 def test_rank_nullity_property(r, c, entries):
     rows = [entries[i * c : (i + 1) * c] for i in range(r)]
-    for field in (FP, QQ):
-        m = Matrix.from_rows(field, rows)
-        assert m.rank() + m.kernel_basis().cols == c
+    with pytest.MonkeyPatch.context() as mp:
+        for _ in _each_path(mp):
+            for field in (FP, QQ):
+                m = Matrix.from_rows(field, rows)
+                assert m.rank() + m.kernel_basis().cols == c
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,56 +119,64 @@ def test_rank_nullity_property(r, c, entries):
     st.integers(2, 5),
     st.lists(st.integers(-20, 20), min_size=25, max_size=25),
 )
+# Its determinant is -90063 = -9 * 10007: rank 4 over Q, 3 mod p.
+@example(4, [2, 17, 3, -14, -18, 1, 12, 14, 19, -13, 15, -8, -19, 7, 13, 1] + [0] * 9)
 def test_rational_and_modular_rank_agree_on_small_integer_matrices(n, entries):
-    # p = 10007 divides no pivot determinant for entries this small, so the
-    # two field computations must agree.
+    # p may divide a minor even of small entries, so each rank is checked
+    # against its oracle; reduction mod p can only lower the rank.
     rows = [entries[i * n : (i + 1) * n] for i in range(n)]
-    mq = Matrix.from_rows(QQ, rows)
-    mp = Matrix.from_rows(FP, rows)
-    assert mq.rank() == mp.rank()
+    with pytest.MonkeyPatch.context() as mp:
+        for _ in _each_path(mp):
+            rank_q = Matrix.from_rows(QQ, rows).rank()
+            rank_p = Matrix.from_rows(FP, rows).rank()
+            assert rank_q == naive_rank_fraction(rows)
+            assert rank_p == naive_rank_mod(rows, P)
+            assert rank_p <= rank_q
 
 
-def test_rank_matches_oracles_on_fixed_fixtures():
-    fixtures = [
-        [[1, 2], [3, 4]],
-        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
-        [[0, 0, 1], [0, 0, 2], [1, 0, 0]],
-        [[3, 1, 4, 1], [5, 9, 2, 6], [8, 10, 6, 7], [5, 9, 2, 6]],
-    ]
-    for rows in fixtures:
-        assert Matrix.from_rows(FP, rows).rank() == naive_rank_mod(rows, P)
-        assert Matrix.from_rows(QQ, rows).rank() == naive_rank_fraction(rows)
+def test_rank_matches_oracles_on_fixed_fixtures(monkeypatch):
+    for _ in _each_path(monkeypatch):
+        fixtures = [
+            [[1, 2], [3, 4]],
+            [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+            [[0, 0, 1], [0, 0, 2], [1, 0, 0]],
+            [[3, 1, 4, 1], [5, 9, 2, 6], [8, 10, 6, 7], [5, 9, 2, 6]],
+        ]
+        for rows in fixtures:
+            assert Matrix.from_rows(FP, rows).rank() == naive_rank_mod(rows, P)
+            assert Matrix.from_rows(QQ, rows).rank() == naive_rank_fraction(rows)
 
 
 # One prime per elimination dtype and panel width: float64 with panel 128,
 # the largest float64 prime (tightest exactness bound), then int64 with
 # panels 128, 4 and 1.
 @pytest.mark.parametrize("p", [10007, 8388593, 33554393, 1073741789, 2147483629])
-def test_blocked_elimination_agrees_with_oracle_on_random_matrices(p):
+def test_blocked_elimination_agrees_with_oracle_on_random_matrices(p, monkeypatch):
     field = FieldSpec.prime(p)
-    rng = np.random.default_rng(20240817)
-    for trial in range(25):
-        m = int(rng.integers(1, 40))
-        n = int(rng.integers(1, 40))
-        arr = rng.integers(0, p, size=(m, n))
-        # Half the trials get forced rank deficiency via a low-rank product.
-        if trial % 2 == 0:
-            r = int(rng.integers(1, min(m, n) + 1))
-            left = rng.integers(0, p, size=(m, r)).astype(object)
-            arr = (left @ rng.integers(0, p, size=(r, n)).astype(object)) % p
-        # Entries p-1..p-3 make every unreduced update as large as it can be.
-        elif trial % 4 == 1:
-            arr = rng.integers(p - 3, p, size=(m, n))
-        rows = arr.tolist()
-        mat = Matrix.from_rows(field, rows)
-        assert mat.rank() == naive_rank_mod(rows, p)
-        ref, pivots = mat.rref()
-        oracle_ref, oracle_piv = naive_rref_mod(rows, p)
-        assert list(pivots) == oracle_piv
-        _assert_rank_rows(ref, pivots, oracle_ref)
-        ker = mat.kernel_basis()
-        assert (mat @ ker).is_zero()
-        assert ker.cols == n - len(pivots)
+    for _ in _each_path(monkeypatch):
+        rng = np.random.default_rng(20240817)
+        for trial in range(25):
+            m = int(rng.integers(1, 40))
+            n = int(rng.integers(1, 40))
+            arr = rng.integers(0, p, size=(m, n))
+            # Half the trials get forced rank deficiency via a low-rank product.
+            if trial % 2 == 0:
+                r = int(rng.integers(1, min(m, n) + 1))
+                left = rng.integers(0, p, size=(m, r)).astype(object)
+                arr = (left @ rng.integers(0, p, size=(r, n)).astype(object)) % p
+            # Entries p-1..p-3 make every unreduced update as large as it can be.
+            elif trial % 4 == 1:
+                arr = rng.integers(p - 3, p, size=(m, n))
+            rows = arr.tolist()
+            mat = Matrix.from_rows(field, rows)
+            assert mat.rank() == naive_rank_mod(rows, p)
+            ref, pivots = mat.rref()
+            oracle_ref, oracle_piv = naive_rref_mod(rows, p)
+            assert list(pivots) == oracle_piv
+            _assert_rank_rows(ref, pivots, oracle_ref)
+            ker = mat.kernel_basis()
+            assert (mat @ ker).is_zero()
+            assert ker.cols == n - len(pivots)
 
 
 def test_blocked_elimination_crosses_panel_boundaries():
@@ -180,13 +205,14 @@ def test_wide_matrix_transposed_rank_path():
     assert m.rank() == naive_rank_mod(arr.tolist(), P)
 
 
-def test_kernel_matches_oracle():
-    rows = [[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [1, 1, 1, 1, 1]]
-    k = Matrix.from_rows(FP, rows).kernel_basis()
-    oracle_vs = naive_kernel_mod(rows, P)
-    assert k.cols == len(oracle_vs)
-    got = {tuple(k.col_select([j]).flatten()) for j in range(k.cols)}
-    assert got == {tuple(v) for v in oracle_vs}
+def test_kernel_matches_oracle(monkeypatch):
+    for _ in _each_path(monkeypatch):
+        rows = [[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [1, 1, 1, 1, 1]]
+        k = Matrix.from_rows(FP, rows).kernel_basis()
+        oracle_vs = naive_kernel_mod(rows, P)
+        assert k.cols == len(oracle_vs)
+        got = {tuple(k.col_select([j]).flatten()) for j in range(k.cols)}
+        assert got == {tuple(v) for v in oracle_vs}
 
 
 def test_matmul_exactness_large_inner_dimension():
@@ -256,15 +282,16 @@ def test_matmul_at_largest_float64_prime_near_the_bound(inner):
     assert (prod.astype(object) == expect).all()
 
 
-def test_elimination_large_prime_int64_path():
-    big = FieldSpec.prime(2147483629)
-    rng = np.random.default_rng(9)
-    arr = rng.integers(0, big.modulus, size=(12, 15))
-    arr[5] = (2 * arr[1] + 3 * arr[2]) % big.modulus
-    rows = arr.tolist()
-    m = Matrix.from_rows(big, rows)
-    assert m.rank() == naive_rank_mod(rows, big.modulus)
-    assert (m @ m.kernel_basis()).is_zero()
+def test_elimination_large_prime_int64_path(monkeypatch):
+    for _ in _each_path(monkeypatch):
+        big = FieldSpec.prime(2147483629)
+        rng = np.random.default_rng(9)
+        arr = rng.integers(0, big.modulus, size=(12, 15))
+        arr[5] = (2 * arr[1] + 3 * arr[2]) % big.modulus
+        rows = arr.tolist()
+        m = Matrix.from_rows(big, rows)
+        assert m.rank() == naive_rank_mod(rows, big.modulus)
+        assert (m @ m.kernel_basis()).is_zero()
 
 
 def test_random_matrix_deterministic():
@@ -296,12 +323,13 @@ def test_random_300_by_300_full_rank_statistically():
     assert full >= 4
 
 
-def test_inverse_round_trip():
-    for field in (FP, QQ):
-        m = Matrix.from_rows(field, [[1, 2, 0], [0, 1, 4], [5, 6, 1]])
-        inv = m.inverse()
-        assert m @ inv == Matrix.identity(field, 3)
-        assert inv @ m == Matrix.identity(field, 3)
+def test_inverse_round_trip(monkeypatch):
+    for _ in _each_path(monkeypatch):
+        for field in (FP, QQ):
+            m = Matrix.from_rows(field, [[1, 2, 0], [0, 1, 4], [5, 6, 1]])
+            inv = m.inverse()
+            assert m @ inv == Matrix.identity(field, 3)
+            assert inv @ m == Matrix.identity(field, 3)
 
 
 def test_inverse_of_singular_raises():
@@ -310,11 +338,12 @@ def test_inverse_of_singular_raises():
         m.inverse()
 
 
-def test_subspace_canonical_equality():
-    s1 = Subspace.from_rows(FP, [[1, 1, 0], [0, 2, 2]])
-    s2 = Subspace.from_rows(FP, [[2, 2, 0], [1, 2, 1]])
-    assert s1 == s2
-    assert s1.dim == 2
+def test_subspace_canonical_equality(monkeypatch):
+    for _ in _each_path(monkeypatch):
+        s1 = Subspace.from_rows(FP, [[1, 1, 0], [0, 2, 2]])
+        s2 = Subspace.from_rows(FP, [[2, 2, 0], [1, 2, 1]])
+        assert s1 == s2
+        assert s1.dim == 2
 
 
 def test_subspace_trivial_intersection_and_complement():
@@ -572,11 +601,16 @@ def _assert_agrees_with_oracle(field, arr):
 def test_structural_stage_agrees_with_oracle(kind, p, monkeypatch):
     # Each input takes its path at the default gate, and every input is
     # checked once more with the gate open, so the stage's solve, Schur
-    # complement and merge run on all of them.
+    # complement and merge run on all of them.  Most inputs are small enough
+    # for the scalar path: they are checked on it first, then on the numpy
+    # path, which every split below needs.
     field = FieldSpec.prime(p)
+    inputs = [_STRUCTURAL_INPUTS[kind](np.random.default_rng((trial, p % 1000)), p) for trial in range(3)]
+    for arr in inputs:
+        _assert_agrees_with_oracle(field, arr)
     taken = _count_splits(monkeypatch)
-    for trial in range(3):
-        arr = _STRUCTURAL_INPUTS[kind](np.random.default_rng((trial, p % 1000)), p)
+    monkeypatch.setattr(linalg, "_SCALAR_ENTRIES", 0)
+    for arr in inputs:
         k = _structural_pivots(arr)
         assert (k == 1) if kind == "dense" else (k >= 5)
         taken.clear()
@@ -594,10 +628,11 @@ def test_structural_stage_agrees_with_oracle(kind, p, monkeypatch):
 
 
 @pytest.mark.parametrize("p", [10007, 8388593, 2147483629])
-def test_structural_stage_on_empty_shapes(p):
+def test_structural_stage_on_empty_shapes(p, monkeypatch):
     field = FieldSpec.prime(p)
-    for shape in ((0, 0), (0, 5), (5, 0)):
-        _assert_agrees_with_oracle(field, np.zeros(shape, dtype=np.int64))
+    for _ in _each_path(monkeypatch):
+        for shape in ((0, 0), (0, 5), (5, 0)):
+            _assert_agrees_with_oracle(field, np.zeros(shape, dtype=np.int64))
 
 
 @pytest.mark.parametrize("p", [10007, 2147483629])
@@ -674,11 +709,13 @@ def _dense_core_input(rng, p, m, w):
 def test_dense_core_agrees_with_oracle_at_panel_widths(p, monkeypatch):
     # Widths 1, panel - 1, panel and panel + 1 (panel 128 on float64, 1 at
     # the int64 prime), wide and tall: one panel, one full panel, and a
-    # trailing column updated by the panel's multipliers.
+    # trailing column updated by the panel's multipliers.  Small inputs
+    # would take the scalar path: the core is forced.
     field = FieldSpec.prime(p)
     _, panel = linalg._elim_dtype_and_panel(p)
     rng = np.random.default_rng(p % 1000)
     taken = _count_splits(monkeypatch)
+    monkeypatch.setattr(linalg, "_SCALAR_ENTRIES", 0)
     for w in sorted({1, panel - 1, panel, panel + 1} - {0}):
         for m in (3, 40):
             _assert_agrees_with_oracle(field, _dense_core_input(rng, p, m, w))
@@ -703,3 +740,102 @@ def test_dense_elimination_peak_memory():
             tracemalloc.stop()
     assert peaks[0] <= 2.25 * a.nbytes
     assert peaks[1] <= 1.2 * a.nbytes
+
+
+# ---------------------------------------------------------------------------
+# scalar path
+# ---------------------------------------------------------------------------
+
+
+def _small_inputs(rng, p):
+    """Zero rows, one row, one column, rank-deficient and near-p inputs."""
+    low = rng.integers(0, p, size=(9, 3)).astype(object) @ rng.integers(0, p, size=(3, 14)).astype(object) % p
+    low = np.insert(low.astype(np.int64), [0, 4], 0, axis=0)
+    low[:, [0, 5]] = 0
+    row = rng.integers(0, p, size=(1, 17))
+    row[0, :3] = 0
+    col = rng.integers(0, p, size=(17, 1))
+    col[:5] = 0
+    return [
+        np.zeros((4, 6), dtype=np.int64),
+        row,
+        col,
+        np.zeros((1, 9), dtype=np.int64),
+        np.zeros((9, 1), dtype=np.int64),
+        low,
+        low.T.copy(),
+        rng.integers(p - 3, p, size=(7, 5)),
+        np.vstack([rng.integers(0, p, size=(6, 8)), np.zeros((3, 8), dtype=np.int64)]),
+    ]
+
+
+def _both_paths(arr, p, monkeypatch):
+    """(rref, pivots, rank) of ``arr`` on the default path, then with every
+    matrix sent to the structural stage and the numpy core."""
+    out = []
+    with monkeypatch.context() as mp:
+        for _ in _each_path(mp):
+            ref, pivots = linalg._fp_rref(arr, p)
+            out.append((ref, pivots, linalg._fp_rank(arr, p)))
+    return out
+
+
+@pytest.mark.parametrize("p", [10007, 2147483629])
+def test_scalar_path_matches_numpy_core_bit_for_bit(p, monkeypatch):
+    for arr in _small_inputs(np.random.default_rng(p % 1000), p):
+        assert arr.size <= linalg._SCALAR_ENTRIES
+        (ref, pivots, rank), (np_ref, np_pivots, np_rank) = _both_paths(arr, p, monkeypatch)
+        assert ref.dtype == np_ref.dtype == np.int64
+        assert ref.shape == np_ref.shape == (len(pivots), arr.shape[1])
+        assert np.array_equal(ref, np_ref)
+        assert pivots == np_pivots and all(type(c) is int for c in pivots)
+        assert rank == np_rank == len(pivots) == naive_rank_mod(arr.tolist(), p)
+
+
+@pytest.mark.parametrize("p", [10007, 2147483629])
+@pytest.mark.parametrize("shape", [(32, 32), (25, 41), (41, 25)])
+def test_scalar_path_takes_at_most_1024_entries(shape, p, monkeypatch):
+    # Random rows all lead column 0: no structural split, so a matrix past
+    # the threshold never reaches the scalar path.  Half the rows are
+    # combinations of the others.
+    rng = np.random.default_rng(shape)
+    m, n = shape
+    arr = rng.integers(1, p, size=(m, n))
+    arr[m // 2 :] = (rng.integers(0, p, size=(m - m // 2, m // 2)).astype(object) @ arr[: m // 2].astype(object) % p).astype(np.int64)
+    calls = []
+    echelon = linalg._scalar_echelon
+    monkeypatch.setattr(linalg, "_scalar_echelon", lambda *a: calls.append(1) or echelon(*a))
+    (ref, pivots, rank), (np_ref, np_pivots, np_rank) = _both_paths(arr, p, monkeypatch)
+    assert len(calls) == (2 if m * n <= 1024 else 0)
+    assert np.array_equal(ref, np_ref) and pivots == np_pivots
+    assert rank == np_rank == len(pivots) == m // 2
+    oracle_ref, oracle_piv = naive_rref_mod(arr.tolist(), p)
+    assert pivots == oracle_piv
+    assert ref.tolist() == oracle_ref[:rank]
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 6), (6, 1), (5, 8), (8, 5), (7, 7)])
+def test_scalar_path_over_q_matches_fraction_oracle(shape):
+    rng = np.random.default_rng(shape)
+    a = _random_rational(rng, shape)
+    if min(shape) > 1:  # rank deficient: the last row is the sum of the first two
+        a[-1] = a[0] + a[1]
+    rows = a.tolist()
+    mat = Matrix.from_rows(QQ, rows, cols=shape[1])
+    ref, pivots = mat.rref()
+    oracle_ref, oracle_piv = naive_rref_fraction(rows) if rows else ([], [])
+    assert list(pivots) == oracle_piv
+    _assert_rank_rows(ref, pivots, oracle_ref)
+    assert ref.shape == (len(pivots), shape[1])
+    assert all(type(x) is Fraction for x in ref.flatten())
+    assert mat.rank() == (naive_rank_fraction(rows) if rows else 0) == len(pivots)
+
+
+@pytest.mark.parametrize("p", [10007, 2147483629])
+def test_inverses_match_pow(p):
+    x = np.concatenate([[1, p - 1, 2, p - 2], np.random.default_rng(p % 1000).integers(1, p, size=300)])
+    got = linalg._inverses(x.astype(np.int64), p)
+    assert got.dtype == np.int64
+    assert got.tolist() == [pow(v, p - 2, p) for v in x.tolist()]
+    assert got[:2].tolist() == [1, p - 1]
+    assert linalg._inverses(np.zeros(0, dtype=np.int64), p).size == 0

@@ -33,30 +33,40 @@ def test_trace_target_resolves(module, attr):
 
 
 @pytest.mark.parametrize("op", ["rref", "rank", "kernel_basis"])
-def test_one_elimination_is_one_traced_call(op):
+def test_one_elimination_is_one_traced_call(op, monkeypatch):
     # The F_p elimination recurses on Schur complements; the recursion must
     # not go through a name the tracer wraps, or one elimination would
-    # record nested linalg.elim spans.  This input takes two structural
-    # splits.
+    # record nested linalg.elim spans.  Checked on both paths: two_rounds is
+    # small enough for the scalar elimination, and with that path off it
+    # takes two structural splits; the second input (2520 entries) takes one
+    # split and hands its 12 x 30 complement to the scalar elimination.
     import numpy as np
 
     from ivhs.fields import FieldSpec
     from ivhs.linalg import Matrix
-    from test_linalg import _two_rounds
+    from test_linalg import _each_path, _two_rounds
 
     tracing = _tracing()
     p = 10007
-    mat = Matrix.from_array(FieldSpec.prime(p), _two_rounds(np.random.default_rng(3), p))
-    rec = tracing.SpanRecorder()
-    tracer = tracing.Tracer(rec)
-    tracer.install()
-    try:
-        getattr(mat, op)()
-    finally:
-        tracer.uninstall()
-    names = [rec.names[i] for i in rec.name]
-    assert names.count("linalg._fp_rref") == (0 if op == "rank" else 1)
-    assert rec.counts["elim_calls"] == 1
+    rng = np.random.default_rng(3)
+    # 30 structural rows in one dependency level, then 12 dense rows.
+    s = np.zeros((30, 60), dtype=np.int64)
+    s[np.arange(30), np.arange(30)] = rng.integers(1, p, size=30)
+    s[:, 30:] = rng.integers(0, p, size=(30, 30))
+    split = np.vstack([s, rng.integers(1, p, size=(12, 60))])
+    mats = [Matrix.from_array(FieldSpec.prime(p), a) for a in (_two_rounds(rng, p), split)]
+    for _ in _each_path(monkeypatch):
+        for mat in mats:
+            rec = tracing.SpanRecorder()
+            tracer = tracing.Tracer(rec)
+            tracer.install()
+            try:
+                getattr(mat, op)()
+            finally:
+                tracer.uninstall()
+            names = [rec.names[i] for i in rec.name]
+            assert names.count("linalg._fp_rref") == (0 if op == "rank" else 1)
+            assert rec.counts["elim_calls"] == 1
 
 
 def test_multiplication_map_counts_its_entries():
